@@ -72,8 +72,9 @@ impl BatchVictim {
     ///
     /// # Errors
     ///
-    /// [`HealError::NodeMissing`] if any victim is absent; duplicate victims
-    /// are rejected the same way (the second occurrence is already gone).
+    /// [`HealError::NodeMissing`] if any victim is absent, and
+    /// [`HealError::DuplicateVictim`] if a present victim is named twice —
+    /// whichever the scan in `victims` order meets first.
     pub fn validate(graph: &Graph, victims: &[NodeId]) -> Result<(), HealError> {
         Self::victim_set(graph, victims).map(|_| ())
     }
@@ -82,8 +83,11 @@ impl BatchVictim {
     fn victim_set(graph: &Graph, victims: &[NodeId]) -> Result<BTreeSet<NodeId>, HealError> {
         let mut set: BTreeSet<NodeId> = BTreeSet::new();
         for &v in victims {
-            if !set.insert(v) || !graph.contains_node(v) {
+            if !graph.contains_node(v) {
                 return Err(HealError::NodeMissing(v));
+            }
+            if !set.insert(v) {
+                return Err(HealError::DuplicateVictim(v));
             }
         }
         Ok(set)
@@ -225,8 +229,9 @@ impl Xheal {
     ///
     /// # Errors
     ///
-    /// [`HealError::NodeMissing`] if any victim is absent (checked before
-    /// any mutation); duplicate victims are rejected the same way.
+    /// As in [`BatchVictim::validate`]: [`HealError::NodeMissing`] for an
+    /// absent victim, [`HealError::DuplicateVictim`] for a repeated one,
+    /// both checked before any mutation.
     pub fn heal_delete_batch(&mut self, victims: &[NodeId]) -> Result<BatchReport, HealError> {
         let ctx = BatchVictim::capture(self.graph(), victims)?;
         let (graph, planner, sinks, scratch, tracer) = self.batch_parts();
@@ -298,8 +303,14 @@ mod tests {
     fn duplicate_and_missing_victims_rejected() {
         let g = generators::cycle(5);
         let mut x = Xheal::new(&g, XhealConfig::default());
-        assert!(x.heal_delete_batch(&[n(0), n(0)]).is_err());
-        assert!(x.heal_delete_batch(&[n(99)]).is_err());
+        assert_eq!(
+            x.heal_delete_batch(&[n(0), n(1), n(0)]).unwrap_err(),
+            HealError::DuplicateVictim(n(0))
+        );
+        assert_eq!(
+            x.heal_delete_batch(&[n(99)]).unwrap_err(),
+            HealError::NodeMissing(n(99))
+        );
         // Nothing was mutated.
         assert_eq!(x.graph().node_count(), 5);
     }
@@ -457,7 +468,7 @@ mod tests {
         let g = generators::cycle(4);
         assert_eq!(
             BatchVictim::capture(&g, &[n(1), n(1)]).unwrap_err(),
-            HealError::NodeMissing(n(1))
+            HealError::DuplicateVictim(n(1))
         );
         assert_eq!(
             BatchVictim::capture(&g, &[n(44)]).unwrap_err(),

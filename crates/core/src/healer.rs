@@ -6,6 +6,7 @@
 
 use xheal_graph::{Graph, NodeId};
 
+use crate::batch::BatchVictim;
 use crate::error::HealError;
 use crate::heal::Xheal;
 
@@ -42,8 +43,11 @@ pub trait Healer {
     ///
     /// # Errors
     ///
-    /// Implementations reject absent or duplicated victims.
+    /// Implementations reject absent or duplicated victims. The default
+    /// validates the whole burst with [`BatchVictim::validate`] before
+    /// deleting anything.
     fn on_delete_batch(&mut self, victims: &[NodeId]) -> Result<(), HealError> {
+        BatchVictim::validate(self.graph(), victims)?;
         for &v in victims {
             self.on_delete(v)?;
         }

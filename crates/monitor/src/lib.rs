@@ -14,8 +14,9 @@
 //!   black degree, [`DegreeIncreaseTracker`] against the insertion-only
 //!   `G'` baseline, and a [`StretchReservoir`] of churn-touched nodes for
 //!   on-demand stretch sampling;
-//! - [`SpectralGapTracker`]: λ₂ of the normalized Laplacian re-estimated
-//!   by Lanczos **warm-started** from the previous Fiedler vector;
+//! - [`SpectralGapTracker`]: λ₂ of the normalized Laplacian and the
+//!   sweep-cut ordering vector, each re-estimated by Lanczos
+//!   **warm-started** from its previous value;
 //! - [`HealthPolicy`]: configurable thresholds emitting edge-triggered
 //!   [`HealthEvent`] alerts.
 //!
@@ -61,7 +62,7 @@ use std::rc::Rc;
 
 use xheal_core::{Event, Outcome, TopologyDelta, TopologySink};
 use xheal_graph::Graph;
-use xheal_spectral::sweep_cut_csr;
+use xheal_spectral::sweep_cut_by;
 use xheal_trace::{hook, Layer, SharedTracer};
 use xheal_workload::{HealthNote, RunObserver, Severity};
 
@@ -127,8 +128,12 @@ pub struct HealthReport {
     /// Warm-started λ₃ of the normalized Laplacian, `Some` only when
     /// [`MonitorConfig::track_lambda3`] is on and the graph has ≥ 3 nodes.
     pub lambda3: Option<f64>,
-    /// Sweep-cut expansion estimate (constructive upper bound on `h`),
-    /// `None` for degenerate graphs.
+    /// Sweep-cut edge expansion `cut / min(|S|, |S̄|)` over the
+    /// warm-started Fiedler vector of the unnormalized Laplacian. That is
+    /// the eigenvector the cold `xheal_spectral::sweep_cut` solves for, so
+    /// the two report the same cut whenever λ₂ is simple; either way it is
+    /// a real cut, hence an upper bound on `h` (0.0 on a disconnected
+    /// graph). `None` for graphs with fewer than 2 nodes or no edges.
     pub expansion: Option<f64>,
     /// Max stretch over the reservoir sample, `None` when no comparable
     /// pair was sampled.
@@ -307,6 +312,14 @@ impl Monitor {
     /// Runs the expensive metrics off the incremental CSR (components,
     /// warm-started spectral gap, sweep-cut expansion, sampled stretch),
     /// evaluates the full policy, and returns the report.
+    ///
+    /// The spectral work is warm chases only: λ₂ (and λ₃ when
+    /// [`MonitorConfig::track_lambda3`] is on) of the normalized
+    /// Laplacian, plus the unnormalized-Laplacian Fiedler vector the sweep
+    /// cut orders nodes by — each restarted from the previous checkpoint's
+    /// vector. No checkpoint runs the cold 260-step Fiedler solve; that
+    /// stays in the offline `xheal_spectral::sweep_cut` and
+    /// `xheal_metrics::expansion_report`.
     pub fn checkpoint(&mut self) -> HealthReport {
         let generation = self.csr.generation();
         hook::begin(
@@ -320,7 +333,11 @@ impl Monitor {
         let view = self.csr.snapshot();
         let components = component_count(&view);
         let gap = self.spectral.estimate(&view);
-        let expansion = sweep_cut_csr(&view).map(|s| s.expansion);
+        let expansion = self
+            .spectral
+            .sweep_vector(&view)
+            .and_then(|order| sweep_cut_by(&view, &order))
+            .map(|s| s.expansion);
         let sample = self.reservoir.sample(&view, self.csr.generation());
         let stretch = sampled_stretch(&view, &self.gprime, &sample);
         let snap = MetricsSnapshot {
@@ -556,9 +573,9 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use xheal_core::{Xheal, XhealConfig};
-    use xheal_graph::{generators, NodeId};
+    use xheal_graph::{cuts, generators, NodeId};
     use xheal_metrics::degree_increase;
-    use xheal_spectral::normalized_algebraic_connectivity;
+    use xheal_spectral::{normalized_algebraic_connectivity, sweep_cut_csr};
     use xheal_workload::{run_observed, RandomChurn, Severity};
 
     fn n(raw: u64) -> NodeId {
@@ -629,6 +646,85 @@ mod tests {
         // shortcuts), but a connected graph never yields an infinite
         // stretch over comparable pairs.
         assert!(report.stretch.is_none_or(|s| s > 0.0 && s.is_finite()));
+    }
+
+    /// Drives mixed insert/delete churn through Xheal on `g0` and checks
+    /// every third event that the checkpoint's warm sweep reports exactly
+    /// the cold `sweep_cut_csr` expansion of the same snapshot — and, on
+    /// graphs small enough to enumerate, a real cut (never below `h`).
+    fn assert_warm_sweep_matches_cold(g0: &Graph, events: usize, seed: u64) {
+        let monitor = Rc::new(RefCell::new(Monitor::new(g0, MonitorConfig::default())));
+        let mut net = Xheal::builder()
+            .kappa(4)
+            .seed(seed)
+            .sink(Box::new(Rc::clone(&monitor)))
+            .build(g0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut next = 10_000u64;
+        for step in 0..events {
+            let nodes = net.graph().node_vec();
+            if rng.random_bool(0.3) {
+                let nbrs = [0, 1].map(|_| nodes[rng.random_range(0..nodes.len())]);
+                net.heal_insert(n(next), &nbrs).unwrap();
+                next += 1;
+            } else {
+                net.heal_delete(nodes[rng.random_range(0..nodes.len())])
+                    .unwrap();
+            }
+            if step % 3 != 2 {
+                continue;
+            }
+            let mut m = monitor.borrow_mut();
+            let report = m.checkpoint();
+            let cold = sweep_cut_csr(&m.csr().snapshot()).map(|s| s.expansion);
+            match (report.expansion, cold) {
+                (Some(w), Some(c)) => assert!(
+                    (w - c).abs() < 1e-12,
+                    "step {step}: warm sweep {w} vs cold sweep {c}"
+                ),
+                (w, c) => assert_eq!(w, c, "step {step}"),
+            }
+            if net.graph().node_count() <= 16 {
+                let h = cuts::edge_expansion_exact(net.graph()).unwrap().value;
+                let w = report.expansion.unwrap();
+                assert!(w >= h - 1e-12, "step {step}: sweep {w} below h = {h}");
+            }
+        }
+    }
+
+    #[test]
+    fn warm_sweep_matches_cold_sweep_under_churn() {
+        let mut rng = StdRng::seed_from_u64(41);
+        assert_warm_sweep_matches_cold(&generators::random_regular(80, 6, &mut rng), 30, 1);
+        assert_warm_sweep_matches_cold(&generators::grid(9, 6), 30, 2);
+        assert_warm_sweep_matches_cold(
+            &generators::clique_pair_with_expander_bridge(48, 3, &mut rng),
+            30,
+            3,
+        );
+        // Small enough to check every checkpoint against the exact `h`.
+        assert_warm_sweep_matches_cold(&generators::random_regular(16, 4, &mut rng), 9, 4);
+        assert_warm_sweep_matches_cold(&generators::grid(5, 3), 9, 5);
+        assert_warm_sweep_matches_cold(
+            &generators::clique_pair_with_expander_bridge(16, 2, &mut rng),
+            9,
+            6,
+        );
+    }
+
+    #[test]
+    fn warm_sweep_reports_zero_on_a_disconnected_graph() {
+        let mut g = generators::complete(6);
+        for (a, b) in [(10, 11), (11, 12), (12, 10)] {
+            g.add_node(n(b)).ok();
+            g.add_node(n(a)).ok();
+            g.add_black_edge(n(a), n(b)).unwrap();
+        }
+        let mut m = Monitor::new(&g, MonitorConfig::default());
+        let report = m.checkpoint();
+        assert_eq!(report.components, 2);
+        assert_eq!(report.expansion, Some(0.0));
+        assert_eq!(m.checkpoint().expansion, Some(0.0), "warm repeat");
     }
 
     #[test]

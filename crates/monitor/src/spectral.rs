@@ -1,18 +1,24 @@
-//! Warm-started spectral-gap estimation over the incremental CSR.
+//! Warm-started spectral tracking over the incremental CSR.
 //!
 //! The paper's expansion invariant (Theorem 2.3, stated through the Cheeger
-//! inequality) is monitored via λ₂ of the *normalized* Laplacian. A fresh
-//! solve restarts Lanczos from seeded noise every time; under the small
-//! perturbations one healing event causes, the previous Fiedler estimate is
-//! an excellent start vector, so [`SpectralGapTracker`] re-runs short
-//! restarted Lanczos sweeps seeded with it and converges in a handful of
-//! iterations — while still agreeing with the from-scratch
-//! `normalized_algebraic_connectivity` to well below 1e-6 at checkpoints
-//! (asserted by the `monitor_overhead` harness).
+//! inequality) is monitored two ways: λ₂ of the *normalized* Laplacian, and
+//! a Cheeger sweep cut over the Fiedler vector of the *unnormalized*
+//! Laplacian. A fresh solve restarts Lanczos from seeded noise every time;
+//! under the small perturbations one healing event causes, the previous
+//! eigenvector is an excellent start vector, so [`SpectralGapTracker`]
+//! re-runs short restarted Lanczos sweeps seeded with it and converges in a
+//! handful of iterations. Every vector it carries — λ₂, the optional λ₃,
+//! and the sweep order — is chased this way, so a monitor checkpoint never
+//! runs a cold eigensolve; the cold 260-step solve is left to the offline
+//! `xheal_spectral::sweep_cut` and `xheal_metrics::expansion_report`. The
+//! warm λ₂ agrees with the from-scratch `normalized_algebraic_connectivity`
+//! to well below 1e-6 at checkpoints (asserted by the `monitor_overhead`
+//! harness).
 
 use xheal_graph::{CsrView, FxHashMap, NodeId};
 use xheal_spectral::{
-    lanczos_multi_deflated, lanczos_multi_deflated_from, CsrNormalizedLaplacian, LinOp,
+    lanczos_multi_deflated, lanczos_multi_deflated_from, CsrLaplacian, CsrNormalizedLaplacian,
+    LinOp,
 };
 
 /// Lanczos steps per warm restart sweep.
@@ -23,6 +29,8 @@ const MAX_RESTARTS: usize = 40;
 /// *value* error is then O(residual² / spectral spread) — far below the
 /// 1e-6 agreement budget).
 const RESIDUAL_TOL: f64 = 1e-9;
+/// Amplitude of the seeded noise filling coordinates without a warm value.
+const FILL: f64 = 1e-3;
 
 /// Result of one warm-started gap estimate.
 #[derive(Clone, Copy, Debug)]
@@ -42,15 +50,76 @@ pub struct GapEstimate {
     pub residual: f64,
 }
 
-/// Carries the Fiedler estimate across topology generations, keyed by node
-/// id so it survives node churn and CSR renumbering. With
-/// [`SpectralGapTracker::with_lambda3`] it additionally chases λ₃ through a
-/// second deflated sweep — deflating {kernel, current Fiedler estimate} and
-/// warm-starting from the previous λ₃ eigenvector.
+/// A Ritz triple `(value, vector, residual)`.
+type Ritz = (f64, Vec<f64>, f64);
+
+/// One eigenvector estimate carried across topology generations, keyed by
+/// node id so it survives node churn and CSR renumbering.
+#[derive(Clone, Debug, Default)]
+struct WarmVector(FxHashMap<NodeId, f64>);
+
+impl WarmVector {
+    /// Chases the smallest eigenpair of `op` off `deflates`, starting from
+    /// the stored estimate, and stores the result for the next call (or
+    /// forgets the estimate when the chase finds nothing). Returns the best
+    /// Ritz triple and the restart sweeps spent.
+    fn chase(
+        &mut self,
+        csr: &CsrView,
+        op: &dyn LinOp,
+        deflates: &[&[f64]],
+        seed: u64,
+    ) -> (Option<Ritz>, usize) {
+        let steps = WARM_STEPS.min(csr.len() - 1).max(1);
+        let start = self.start(csr);
+        let (best, restarts) = chase(op, deflates, &start, steps, seed);
+        self.0.clear();
+        if let Some((_, vec, _)) = &best {
+            self.0
+                .extend(csr.nodes().iter().copied().zip(vec.iter().copied()));
+        }
+        (best, restarts)
+    }
+
+    /// Maps the stored estimate onto the current node order. Nodes without
+    /// a stored value (all of them on a cold start) get seeded per-id
+    /// noise, so a grown graph still explores its new coordinates. The
+    /// noise is hashed rather than patterned: an alternating ±fill is an
+    /// exact Laplacian eigenvector of every even-length circulant graph,
+    /// and a Lanczos run started on an eigenvector stops at it.
+    fn start(&self, csr: &CsrView) -> Vec<f64> {
+        csr.nodes()
+            .iter()
+            .map(|v| self.0.get(v).copied().unwrap_or_else(|| noise(*v)))
+            .collect()
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Seeded per-node noise in `[-FILL, FILL)`: splitmix64 of the id.
+fn noise(v: NodeId) -> f64 {
+    let mut z = v.as_u64().wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^= z >> 31;
+    FILL * (2.0 * ((z >> 11) as f64 / (1u64 << 53) as f64) - 1.0)
+}
+
+/// Carries the spectral estimates across topology generations: the
+/// normalized-Laplacian Fiedler vector behind λ₂, optionally a λ₃ vector
+/// ([`SpectralGapTracker::with_lambda3`]: a second deflated chase,
+/// deflating {kernel, current Fiedler estimate}), and the
+/// unnormalized-Laplacian Fiedler vector the sweep cut orders nodes by
+/// ([`SpectralGapTracker::sweep_vector`]). Each is warm-started from its
+/// own previous value.
 #[derive(Clone, Debug, Default)]
 pub struct SpectralGapTracker {
-    prev: FxHashMap<NodeId, f64>,
-    prev3: FxHashMap<NodeId, f64>,
+    lambda2: WarmVector,
+    lambda3: WarmVector,
+    sweep: WarmVector,
     track_lambda3: bool,
 }
 
@@ -80,49 +149,29 @@ impl SpectralGapTracker {
     /// Fiedler estimate joining the kernel in the deflation set.
     pub fn estimate(&mut self, csr: &CsrView) -> GapEstimate {
         let n = csr.len();
+        let degenerate = |restarts| GapEstimate {
+            lambda: 0.0,
+            lambda3: None,
+            restarts,
+            residual: 0.0,
+        };
         if n < 2 || csr.edge_count() == 0 {
-            self.prev.clear();
-            self.prev3.clear();
-            return GapEstimate {
-                lambda: 0.0,
-                lambda3: None,
-                restarts: 0,
-                residual: 0.0,
-            };
+            self.lambda2.clear();
+            self.lambda3.clear();
+            return degenerate(0);
         }
         let op = CsrNormalizedLaplacian::new(csr);
         let kernel = op.kernel();
-        let steps = WARM_STEPS.min(n - 1).max(1);
-
-        let start = Self::warm_start(&self.prev, csr);
-        let (best, restarts) = Self::chase(&op, &[&kernel], &start, steps, 0x5EED);
+        let (best, restarts) = self.lambda2.chase(csr, &op, &[&kernel], 0x5EED);
         let Some((lambda, vec, residual)) = best else {
-            self.prev.clear();
-            self.prev3.clear();
-            return GapEstimate {
-                lambda: 0.0,
-                lambda3: None,
-                restarts,
-                residual: 0.0,
-            };
+            self.lambda3.clear();
+            return degenerate(restarts);
         };
-        self.prev.clear();
-        for (i, &v) in csr.nodes().iter().enumerate() {
-            self.prev.insert(v, vec[i]);
-        }
-
         let lambda3 = if self.track_lambda3 && n >= 3 {
-            let start3 = Self::warm_start(&self.prev3, csr);
-            let (best3, _) = Self::chase(&op, &[&kernel, &vec], &start3, steps, 0x5EED3);
-            self.prev3.clear();
-            best3.map(|(l3, v3, _)| {
-                for (i, &v) in csr.nodes().iter().enumerate() {
-                    self.prev3.insert(v, v3[i]);
-                }
-                l3.max(0.0)
-            })
+            let (best3, _) = self.lambda3.chase(csr, &op, &[&kernel, &vec], 0x5EED3);
+            best3.map(|(l3, _, _)| l3.max(0.0))
         } else {
-            self.prev3.clear();
+            self.lambda3.clear();
             None
         };
         GapEstimate {
@@ -133,75 +182,77 @@ impl SpectralGapTracker {
         }
     }
 
-    /// Maps a previous eigenvector estimate onto the current node order.
-    /// Nodes that joined since get a small alternating nonzero component so
-    /// a grown graph still explores its new coordinates.
-    fn warm_start(prev: &FxHashMap<NodeId, f64>, csr: &CsrView) -> Vec<f64> {
-        csr.nodes()
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                prev.get(v)
-                    .copied()
-                    .unwrap_or_else(|| if i % 2 == 0 { 1e-3 } else { -1e-3 })
-            })
-            .collect()
-    }
-
-    /// Restarted warm Lanczos sweeps against a fixed deflation set: returns
-    /// the best `(ritz value, vector, residual)` triple and the sweeps
-    /// spent. A warm vector that deflates to zero (e.g. the whole previous
-    /// estimate died with deleted nodes) falls back to seeded noise.
-    #[allow(clippy::type_complexity)]
-    fn chase(
-        op: &dyn LinOp,
-        deflates: &[&[f64]],
-        start: &[f64],
-        steps: usize,
-        seed: u64,
-    ) -> (Option<(f64, Vec<f64>, f64)>, usize) {
-        let mut start = start.to_vec();
-        let mut best: Option<(f64, Vec<f64>, f64)> = None;
-        let mut restarts = 0;
-        while restarts < MAX_RESTARTS {
-            restarts += 1;
-            let r = match lanczos_multi_deflated_from(op, deflates, &start, steps) {
-                Some(r) => r,
-                None => match lanczos_multi_deflated(op, deflates, steps, seed ^ restarts as u64) {
-                    Some(r) => r,
-                    None => break,
-                },
-            };
-            let lambda = r.ritz_values[0];
-            let vec = r.smallest_vector;
-            let sweep_residual = Self::residual(op, lambda, &vec);
-            // Ritz values bound the target from above, so the smallest
-            // sweep wins; its residual travels with it (never a later
-            // sweep's).
-            let improved = best.as_ref().is_none_or(|&(l, _, _)| lambda <= l + 1e-15);
-            if improved {
-                best = Some((lambda, vec.clone(), sweep_residual));
-            }
-            if sweep_residual < RESIDUAL_TOL {
-                break;
-            }
-            start = vec;
+    /// Warm-started Fiedler vector of the **unnormalized** Laplacian of
+    /// `csr` (deflating the all-ones vector), indexed like `csr.nodes()`.
+    /// This is the eigenvector the cold `xheal_spectral::sweep_cut_csr`
+    /// solves for, so sweeping it with `xheal_spectral::sweep_cut_by`
+    /// reports the same Cheeger cut without the cold solve. Stores the
+    /// vector for the next call; `None` for graphs with fewer than 2 nodes
+    /// or no edges.
+    pub fn sweep_vector(&mut self, csr: &CsrView) -> Option<Vec<f64>> {
+        if csr.len() < 2 || csr.edge_count() == 0 {
+            self.sweep.clear();
+            return None;
         }
-        (best, restarts)
+        let ones = vec![1.0; csr.len()];
+        let (best, _) = self
+            .sweep
+            .chase(csr, &CsrLaplacian::new(csr), &[&ones], 0x5EED5);
+        best.map(|(_, vec, _)| vec)
     }
+}
 
-    fn residual(op: &dyn LinOp, lambda: f64, v: &[f64]) -> f64 {
-        let mut y = vec![0.0f64; v.len()];
-        op.apply(v, &mut y);
-        y.iter()
-            .zip(v)
-            .map(|(yi, vi)| {
-                let r = yi - lambda * vi;
-                r * r
-            })
-            .sum::<f64>()
-            .sqrt()
+/// Restarted warm Lanczos sweeps against a fixed deflation set: returns the
+/// best `(ritz value, vector, residual)` triple and the sweeps spent. A warm
+/// vector that deflates to zero (e.g. the whole previous estimate died with
+/// deleted nodes) falls back to seeded noise.
+fn chase(
+    op: &dyn LinOp,
+    deflates: &[&[f64]],
+    start: &[f64],
+    steps: usize,
+    seed: u64,
+) -> (Option<Ritz>, usize) {
+    let mut start = start.to_vec();
+    let mut best: Option<Ritz> = None;
+    let mut restarts = 0;
+    while restarts < MAX_RESTARTS {
+        restarts += 1;
+        let r = match lanczos_multi_deflated_from(op, deflates, &start, steps) {
+            Some(r) => r,
+            None => match lanczos_multi_deflated(op, deflates, steps, seed ^ restarts as u64) {
+                Some(r) => r,
+                None => break,
+            },
+        };
+        let lambda = r.ritz_values[0];
+        let vec = r.smallest_vector;
+        let sweep_residual = residual(op, lambda, &vec);
+        // Ritz values bound the target from above, so the smallest sweep
+        // wins; its residual travels with it (never a later sweep's).
+        let improved = best.as_ref().is_none_or(|&(l, _, _)| lambda <= l + 1e-15);
+        if improved {
+            best = Some((lambda, vec.clone(), sweep_residual));
+        }
+        if sweep_residual < RESIDUAL_TOL {
+            break;
+        }
+        start = vec;
     }
+    (best, restarts)
+}
+
+fn residual(op: &dyn LinOp, lambda: f64, v: &[f64]) -> f64 {
+    let mut y = vec![0.0f64; v.len()];
+    op.apply(v, &mut y);
+    y.iter()
+        .zip(v)
+        .map(|(yi, vi)| {
+            let r = yi - lambda * vi;
+            r * r
+        })
+        .sum::<f64>()
+        .sqrt()
 }
 
 #[cfg(test)]
@@ -283,6 +334,72 @@ mod tests {
         let mut tr = SpectralGapTracker::new();
         assert!(!tr.tracks_lambda3());
         assert!(tr.estimate(&g.csr_view()).lambda3.is_none());
+    }
+
+    /// λ₂ of the normalized Laplacian of `ring_with_chords(n)` in closed
+    /// form: the graph is circulant with offsets 1, 2, 4, … below n/2, so
+    /// its spectrum is `1 − (2/d)·Σ_s cos(2πks/n)` over `k = 1..n`.
+    fn ring_with_chords_lambda2(n: usize) -> f64 {
+        let offsets: Vec<usize> = std::iter::successors(Some(1usize), |s| Some(s * 2))
+            .take_while(|&s| s == 1 || s < n.div_ceil(2))
+            .collect();
+        let d = 2.0 * offsets.len() as f64;
+        (1..n)
+            .map(|k| {
+                let sum: f64 = offsets
+                    .iter()
+                    .map(|&s| (2.0 * std::f64::consts::PI * (k * s) as f64 / n as f64).cos())
+                    .sum();
+                1.0 - 2.0 / d * sum
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn cold_start_on_even_ring_with_chords_finds_the_true_gap() {
+        // The alternating k = n/2 Fourier mode is an exact eigenvector of
+        // every even-length ring with chords (eigenvalue 4/d), so a
+        // patterned cold start would stop there instead of at λ₂: at
+        // n = 2000 that reads 0.2 against the true 0.145068.
+        assert!((ring_with_chords_lambda2(2000) - 0.145068).abs() < 1e-6);
+        for n in [2000, 10_000] {
+            let g = generators::ring_with_chords(n);
+            let exact = ring_with_chords_lambda2(n);
+            let est = SpectralGapTracker::new().estimate(&g.csr_view());
+            assert!(
+                (est.lambda - exact).abs() < 1e-6,
+                "n = {n}: tracker {} vs closed form {exact}",
+                est.lambda
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_vector_is_the_unnormalized_fiedler_vector() {
+        use xheal_spectral::{fiedler_vector_csr, jacobi_eigen, laplacian_dense_csr};
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut g = generators::random_regular(50, 4, &mut rng);
+        let mut tr = SpectralGapTracker::new();
+        for round in 0..3u64 {
+            let csr = g.csr_view();
+            let eig = jacobi_eigen(&laplacian_dense_csr(&csr));
+            assert!(eig.values[2] - eig.values[1] > 1e-3, "λ₂ is simple");
+            let warm = tr.sweep_vector(&csr).expect("non-degenerate");
+            let cold: Vec<f64> = fiedler_vector_csr(&csr)
+                .unwrap()
+                .into_iter()
+                .map(|(_, x)| x)
+                .collect();
+            // Unit vectors spanning the same simple eigenspace: |⟨w, c⟩| = 1.
+            let dot: f64 = warm.iter().zip(&cold).map(|(a, b)| a * b).sum();
+            assert!(
+                (dot.abs() - 1.0).abs() < 1e-9,
+                "round {round}: ⟨w, c⟩ = {dot}"
+            );
+            g.remove_node(NodeId::new(round)).unwrap();
+        }
+        assert!(tr.sweep_vector(&Graph::new().csr_view()).is_none());
+        assert!(tr.sweep_vector(&generators::path(1).csr_view()).is_none());
     }
 
     #[test]

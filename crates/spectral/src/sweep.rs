@@ -29,28 +29,54 @@ pub fn sweep_cut(g: &Graph) -> Option<SweepCut> {
     sweep_cut_csr(&g.csr_view())
 }
 
-/// [`sweep_cut`] over an existing CSR snapshot — the Fiedler solve and the
-/// prefix scan both run off the borrowed snapshot, so repeat callers with a
-/// maintained CSR never rebuild the adjacency.
+/// [`sweep_cut`] over an existing CSR snapshot: a cold Fiedler solve
+/// ([`fiedler_vector_csr`]) followed by the prefix scan of
+/// [`sweep_cut_by`]. Repeat callers with a maintained CSR never rebuild the
+/// adjacency.
 pub fn sweep_cut_csr(csr: &CsrView) -> Option<SweepCut> {
     if csr.len() < 2 || csr.edge_count() == 0 {
         return None;
     }
-    let mut fiedler = fiedler_vector_csr(csr)?;
-    fiedler.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fiedler entries"));
+    let fiedler = fiedler_vector_csr(csr)?;
+    let values: Vec<f64> = fiedler.iter().map(|&(_, x)| x).collect();
+    sweep_cut_by(csr, &values)
+}
 
-    let n = fiedler.len();
+/// The sweep's prefix scan over a caller-supplied ordering: nodes are
+/// sorted ascending by `values` (indexed like `csr.nodes()`, ties kept in
+/// node order) and every proper prefix is scored. Any real vector yields
+/// real cuts, so the result is an upper bound on the conductance and the
+/// edge expansion whatever `values` are; a Fiedler estimate makes it the
+/// Cheeger cut. This is how a caller holding a warm-started Fiedler vector
+/// sweeps without a cold eigensolve.
+///
+/// Returns `None` when the graph has fewer than 2 nodes or no edges.
+///
+/// # Panics
+///
+/// If `values.len() != csr.len()` or an entry is NaN.
+pub fn sweep_cut_by(csr: &CsrView, values: &[f64]) -> Option<SweepCut> {
+    assert_eq!(values.len(), csr.len(), "one sweep value per node");
+    let n = csr.len();
+    if n < 2 || csr.edge_count() == 0 {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        values[a]
+            .partial_cmp(&values[b])
+            .expect("finite sweep values")
+    });
+
     let total_vol = 2.0 * csr.edge_count() as f64;
-
-    let mut in_side = vec![false; csr.len()];
+    let mut in_side = vec![false; n];
     let mut cut = 0i64;
     let mut vol = 0.0f64;
     let mut best_cond = f64::INFINITY;
     let mut best_prefix = 0usize;
     let mut best_exp = f64::INFINITY;
 
-    for (k, &(v, _)) in fiedler.iter().enumerate().take(n - 1) {
-        let i = csr.index_of(v).expect("fiedler nodes are live");
+    for (k, &i) in order.iter().enumerate().take(n - 1) {
         let deg = csr.degree_of(i) as f64;
         let inside = csr
             .neighbors_of(i)
@@ -76,11 +102,11 @@ pub fn sweep_cut_csr(csr: &CsrView) -> Option<SweepCut> {
         }
     }
 
-    let side: Vec<NodeId> = {
-        let mut s: Vec<NodeId> = fiedler[..best_prefix].iter().map(|&(v, _)| v).collect();
-        s.sort_unstable();
-        s
-    };
+    let mut side: Vec<NodeId> = order[..best_prefix]
+        .iter()
+        .map(|&i| csr.nodes()[i])
+        .collect();
+    side.sort_unstable();
     Some(SweepCut {
         conductance: best_cond,
         expansion: best_exp,
@@ -156,6 +182,40 @@ mod tests {
         g.add_node(NodeId::new(0)).unwrap();
         g.add_node(NodeId::new(1)).unwrap();
         assert!(sweep_cut(&g).is_none(), "no edges");
+    }
+
+    #[test]
+    fn sweep_by_any_order_scores_its_prefixes() {
+        // Sweeping a path in its natural order finds the middle edge; the
+        // reversed order scores the complementary prefixes, so both
+        // quotients agree, and a scrambled order can only do worse.
+        let g = generators::path(10);
+        let csr = g.csr_view();
+        let forward: Vec<f64> = (0..10).map(|i| i as f64).collect();
+        let backward: Vec<f64> = forward.iter().map(|x| -x).collect();
+        let a = sweep_cut_by(&csr, &forward).unwrap();
+        let b = sweep_cut_by(&csr, &backward).unwrap();
+        assert!((a.expansion - 0.2).abs() < 1e-12, "{}", a.expansion);
+        assert_eq!(a.expansion, b.expansion);
+        assert_eq!(a.conductance, b.conductance);
+        assert_eq!(a.side, (0..5).map(NodeId::new).collect::<Vec<_>>());
+        let scrambled: Vec<f64> = (0..10).map(|i| ((i * 7) % 10) as f64).collect();
+        assert!(sweep_cut_by(&csr, &scrambled).unwrap().expansion >= a.expansion);
+        assert!(sweep_cut_by(&generators::complete(1).csr_view(), &[0.0]).is_none());
+    }
+
+    #[test]
+    fn cold_sweep_is_the_scan_over_the_fiedler_vector() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = generators::connected_erdos_renyi(30, 0.15, &mut rng);
+        let csr = g.csr_view();
+        let values: Vec<f64> = fiedler_vector_csr(&csr)
+            .unwrap()
+            .into_iter()
+            .map(|(_, x)| x)
+            .collect();
+        assert_eq!(sweep_cut_by(&csr, &values), sweep_cut_csr(&csr));
     }
 
     #[test]

@@ -8,9 +8,9 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use xheal_core::{DeltaMirror, Event, HealingEngine, Outcome};
+use xheal_core::{DeltaMirror, Event, HealError, HealingEngine, Outcome};
 use xheal_dex::{Dex, DexConfig};
-use xheal_graph::{components, generators, Graph};
+use xheal_graph::{components, generators, Graph, NodeId};
 use xheal_monitor::{Monitor, MonitorConfig, MonitorHook};
 use xheal_workload::{
     replay, run, run_arena, run_observed, standard_registry, ArenaQuality, ArenaSchedule,
@@ -238,5 +238,30 @@ fn monitor_scored_arena_is_consistent_for_every_engine() {
         if cell.engine == "dex" {
             assert!(q.max_degree <= dex_bound);
         }
+    }
+}
+
+/// Every engine of the standard registry rejects a burst that names one
+/// victim twice with `DuplicateVictim`, atomically: the graph is untouched
+/// and the same burst without the repeat then applies.
+#[test]
+fn every_engine_rejects_duplicate_batch_victims() {
+    let g0 = generators::ring_with_chords(20);
+    let reg = standard_registry(4);
+    let [a, b] = [NodeId::new(3), NodeId::new(5)];
+    for (key, mut engine) in reg.build_all(&g0, 7) {
+        let before = engine.graph().edge_fingerprint();
+        let err = engine
+            .apply(&Event::DeleteBatch {
+                nodes: vec![a, b, a],
+            })
+            .unwrap_err();
+        assert_eq!(err, HealError::DuplicateVictim(a), "{key}");
+        assert_eq!(engine.graph().edge_fingerprint(), before, "{key}");
+        assert_eq!(engine.graph().node_count(), 20, "{key}");
+        engine
+            .apply(&Event::DeleteBatch { nodes: vec![a, b] })
+            .unwrap_or_else(|e| panic!("{key}: {e}"));
+        assert_eq!(engine.graph().node_count(), 18, "{key}");
     }
 }
