@@ -2,14 +2,32 @@
 //!
 //! [`IncrementalCsr`] is a labeled adjacency structure maintained purely
 //! from the [`TopologyDelta`] stream — never rebuilt from the engine's
-//! graph. The layout is a flat entry array with **per-node slack**: each
-//! live node owns a contiguous block `[start, start + cap)` holding its
-//! `len` sorted neighbor entries. Inserting into a full block relocates it
-//! to the tail of the array with doubled capacity, abandoning the old
-//! region as a *tombstone*; when tombstones exceed half the array an
-//! amortized **compaction** rebuilds the array densely. Every applied delta
-//! bumps a **generation stamp**, so downstream consumers can tag derived
-//! metrics with the exact topology version they were computed from.
+//! graph. Every applied delta bumps a **generation stamp**, so downstream
+//! consumers can tag derived metrics with the exact topology version they
+//! were computed from.
+//!
+//! # Layout
+//!
+//! - **Entries.** Each undirected edge `{u, v}` appears as two directed
+//!   half-edge entries, one in each endpoint's block. An entry is a
+//!   16-byte `Copy` record: the neighbor's id (the sort key), its arena
+//!   slot (so snapshots and mirror edits never re-hash), and the index of
+//!   the edge's label record. Blocks are shifted, relocated and compacted
+//!   with plain memory moves.
+//! - **Blocks with slack.** The entries live in one flat array. Each live
+//!   node owns a contiguous block `[start, start + cap)` holding its `len`
+//!   neighbor entries sorted by id. Inserting into a full block relocates
+//!   it to the tail of the array with doubled capacity, abandoning the old
+//!   region as a *tombstone*. When tombstones exceed half the array an
+//!   amortized **compaction** rebuilds the array densely.
+//! - **Shared label records.** The [`EdgeLabels`] of an edge are stored
+//!   once, in a record table indexed by the entries' `edge` field; both
+//!   halves of the edge point at the same record. Relabeling or stripping
+//!   a surviving edge therefore edits one record and never searches the
+//!   mirror block: only creating or dropping an edge touches both blocks.
+//! - **Free list.** A dropped edge's record goes on a free list and the
+//!   next created edge reuses it, so the table holds one record per live
+//!   edge plus the free list, never one per edge ever created.
 //!
 //! [`IncrementalCsr::snapshot`] linearizes the structure into a
 //! [`CsrView`] — bit-identical to what `Graph::csr_view()` would produce
@@ -19,11 +37,7 @@
 use std::collections::BTreeSet;
 
 use xheal_core::TopologyDelta;
-use xheal_graph::{CsrView, EdgeLabels, FxHashMap, Graph, NodeId};
-
-/// Filler id for dead/slack entries (never a live node id in practice; the
-/// structure never reads filler entries either way).
-const TOMB: u64 = u64::MAX;
+use xheal_graph::{CloudColor, CsrView, EdgeLabels, FxHashMap, Graph, NodeId};
 
 /// Compact once abandoned capacity exceeds this fraction of the array
 /// (denominator 2 ⇒ half), and only past a minimum size.
@@ -31,23 +45,23 @@ const COMPACT_DENOM: usize = 2;
 const COMPACT_MIN: usize = 64;
 
 /// One directed half-edge entry: the neighbor's id (the sort key), its
-/// arena slot (so mirror edits never re-hash), and the labels both halves
-/// share.
-#[derive(Clone, Debug)]
+/// arena slot, and the label record both halves of the edge share.
+#[derive(Clone, Copy, Debug)]
 struct Entry {
     id: NodeId,
     slot: u32,
-    labels: EdgeLabels,
+    edge: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
 impl Entry {
-    fn filler() -> Self {
-        Entry {
-            id: NodeId::new(TOMB),
-            slot: u32::MAX,
-            labels: EdgeLabels::empty(),
-        }
-    }
+    /// Slack filler; the structure never reads it.
+    const FILLER: Entry = Entry {
+        id: NodeId::new(u64::MAX),
+        slot: u32::MAX,
+        edge: u32::MAX,
+    };
 }
 
 /// Per-node block descriptor: `len` live entries inside `cap` owned cells.
@@ -152,6 +166,10 @@ pub struct IncrementalCsr {
     free_slots: Vec<u32>,
     /// The flat entry array blocks carve up.
     adj: Vec<Entry>,
+    /// One label record per live edge, indexed by [`Entry::edge`].
+    labels: Vec<EdgeLabels>,
+    /// Records of dropped edges, reused before the table grows.
+    free_labels: Vec<u32>,
     /// Abandoned cells (relocated blocks, dead nodes' blocks).
     tombstones: usize,
     edge_count: usize,
@@ -174,7 +192,9 @@ impl IncrementalCsr {
             live: Vec::new(),
             blocks: Vec::new(),
             free_slots: Vec::new(),
-            adj: Vec::new(),
+            adj: Vec::with_capacity(2 * initial.edge_count()),
+            labels: Vec::with_capacity(initial.edge_count()),
+            free_labels: Vec::new(),
             tombstones: 0,
             edge_count: 0,
             generation: 0,
@@ -185,25 +205,39 @@ impl IncrementalCsr {
         for v in initial.nodes() {
             csr.add_slot(v);
         }
+        // Nodes are laid down in ascending id order, so when `v` reaches a
+        // lower neighbor `u`, the mirror `(u → v)` is the next entry above
+        // `u` in `u`'s block that no higher node has claimed yet:
+        // `cursor[u]` walks those entries in step, one linear pass.
+        let mut cursor = vec![0u32; csr.blocks.len()];
         for v in initial.nodes() {
             let sv = csr.index[&v];
             let start = csr.adj.len() as u32;
-            let mut len = 0u32;
             let mut black = 0u32;
+            let mut lower = 0u32;
             for (u, labels) in initial.neighbors_labeled(v) {
                 let su = csr.index[&u];
                 if labels.is_black() {
                     black += 1;
                 }
+                let edge = if u < v {
+                    let mirror = csr.adj[cursor[su as usize] as usize];
+                    debug_assert_eq!(mirror.id, v, "mirror of ({v},{u})");
+                    cursor[su as usize] += 1;
+                    lower += 1;
+                    mirror.edge
+                } else {
+                    csr.alloc_labels(labels.clone())
+                };
                 csr.adj.push(Entry {
                     id: u,
                     slot: su,
-                    labels: labels.clone(),
+                    edge,
                 });
-                len += 1;
             }
-            let block = &mut csr.blocks[sv as usize];
-            *block = Block {
+            let len = csr.adj.len() as u32 - start;
+            cursor[sv as usize] = start + lower;
+            csr.blocks[sv as usize] = Block {
                 start,
                 len,
                 cap: len,
@@ -325,13 +359,7 @@ impl IncrementalCsr {
                 DeltaEffect::NodeAdded(v)
             }
             TopologyDelta::NodeRemoved(v) => self.remove_node(v),
-            TopologyDelta::EdgeAdded { a, b, color } => {
-                let labels = match color {
-                    None => EdgeLabels::black(),
-                    Some(c) => EdgeLabels::colored(c),
-                };
-                self.add_label(a, b, &labels)
-            }
+            TopologyDelta::EdgeAdded { a, b, color } => self.add_label(a, b, color),
             TopologyDelta::EdgeRemoved { a, b, color } => self.strip_label(a, b, color),
         };
         if !self.in_batch {
@@ -423,18 +451,17 @@ impl IncrementalCsr {
         };
         let block = self.blocks[sv as usize];
         let mut neighbors = Vec::with_capacity(block.len as usize);
-        // Collect first (the mirror removals below shuffle `adj`).
-        let incident: Vec<(NodeId, u32, bool)> = self
-            .block_slice(sv)
-            .iter()
-            .map(|e| (e.id, e.slot, e.labels.is_black()))
-            .collect();
-        for &(u, su, was_black) in &incident {
-            let ub = &self.blocks[su as usize];
-            neighbors.push((u, ub.len as usize, was_black));
-            self.remove_entry(su, v, was_black);
-            self.edge_count -= 1;
+        // The mirror removals shift only the neighbors' blocks, so this
+        // block is read in place.
+        for i in block.start..block.start + block.len {
+            let e = self.adj[i as usize];
+            let was_black = self.labels[e.edge as usize].is_black();
+            neighbors.push((e.id, self.blocks[e.slot as usize].len as usize, was_black));
+            let pos = self.find_in_block(e.slot, v).expect("mirror entry");
+            self.remove_at(e.slot, pos, was_black);
+            self.free_labels.push(e.edge);
         }
+        self.edge_count -= block.len as usize;
         self.tombstones += block.cap as usize;
         self.blocks[sv as usize] = Block::default();
         self.live[sv as usize] = false;
@@ -454,16 +481,14 @@ impl IncrementalCsr {
         self.block_slice(slot).binary_search_by(|e| e.id.cmp(&u))
     }
 
-    /// Removes the `(slot → u)` half-edge entry (must exist).
-    fn remove_entry(&mut self, slot: u32, u: NodeId, was_black: bool) {
-        let pos = self.find_in_block(slot, u).expect("mirror entry");
-        let b = self.blocks[slot as usize];
+    /// Removes the entry at position `pos` of `slot`'s block.
+    fn remove_at(&mut self, slot: u32, pos: usize, was_black: bool) {
+        let b = &mut self.blocks[slot as usize];
         let start = b.start as usize;
         // Shift the tail left inside the block; the vacated cell becomes
         // reusable slack, not a tombstone.
         self.adj
-            .copy_within_entries(start + pos + 1..start + b.len as usize, start + pos);
-        let b = &mut self.blocks[slot as usize];
+            .copy_within(start + pos + 1..start + b.len as usize, start + pos);
         b.len -= 1;
         if was_black {
             b.black -= 1;
@@ -481,53 +506,64 @@ impl IncrementalCsr {
         if b.len == b.cap {
             self.grow_block(slot, (b.cap * 2).max(4));
         }
-        let b = self.blocks[slot as usize];
+        let b = &mut self.blocks[slot as usize];
         let start = b.start as usize;
         // Shift the tail right inside the block to open the position.
         self.adj
-            .copy_within_entries_rev(start + pos..start + b.len as usize, start + pos + 1);
+            .copy_within(start + pos..start + b.len as usize, start + pos + 1);
         self.adj[start + pos] = entry;
-        self.blocks[slot as usize].len += 1;
+        b.len += 1;
     }
 
     /// Relocates `slot`'s block to the tail of the entry array with
     /// capacity `new_cap`; the old region tombstones.
     fn grow_block(&mut self, slot: u32, new_cap: u32) {
-        let b = self.blocks[slot as usize];
+        let b = &mut self.blocks[slot as usize];
         debug_assert!(new_cap > b.cap);
-        let new_start = self.adj.len() as u32;
+        let new_start = self.adj.len();
         self.adj.reserve(new_cap as usize);
-        for i in 0..b.len as usize {
-            let e = self.adj[b.start as usize + i].clone();
-            self.adj.push(e);
-        }
         self.adj
-            .resize_with(new_start as usize + new_cap as usize, Entry::filler);
+            .extend_from_within(b.start as usize..(b.start + b.len) as usize);
+        self.adj.resize(new_start + new_cap as usize, Entry::FILLER);
         self.tombstones += b.cap as usize;
-        let nb = &mut self.blocks[slot as usize];
-        nb.start = new_start;
-        nb.cap = new_cap;
+        b.start = new_start as u32;
+        b.cap = new_cap;
     }
 
-    fn add_label(&mut self, a: NodeId, b: NodeId, labels: &EdgeLabels) -> DeltaEffect {
+    /// Stores `labels` for a new edge, reusing a freed record if any.
+    fn alloc_labels(&mut self, labels: EdgeLabels) -> u32 {
+        match self.free_labels.pop() {
+            Some(r) => {
+                self.labels[r as usize] = labels;
+                r
+            }
+            None => {
+                let r = u32::try_from(self.labels.len()).expect("record fits u32");
+                self.labels.push(labels);
+                r
+            }
+        }
+    }
+
+    fn add_label(&mut self, a: NodeId, b: NodeId, color: Option<CloudColor>) -> DeltaEffect {
         let (Some(&sa), Some(&sb)) = (self.index.get(&a), self.index.get(&b)) else {
             debug_assert!(false, "edge ({a},{b}) endpoints must be live");
             return DeltaEffect::Noop;
         };
         match self.find_in_block(sa, b) {
             Ok(pos) => {
-                // Existing edge: merge the label into both halves.
-                let start = self.blocks[sa as usize].start as usize;
-                let before = self.adj[start + pos].labels.clone();
-                self.adj[start + pos].labels.merge(labels);
-                let after = self.adj[start + pos].labels.clone();
-                if before == after {
-                    return DeltaEffect::Noop; // duplicate label
-                }
-                let mpos = self.find_in_block(sb, a).expect("mirror entry");
-                let mstart = self.blocks[sb as usize].start as usize;
-                self.adj[mstart + mpos].labels.merge(labels);
-                let became_black = !before.is_black() && after.is_black();
+                // Existing edge: one shared record, no mirror search.
+                let edge = self.adj[self.blocks[sa as usize].start as usize + pos].edge;
+                let labels = &mut self.labels[edge as usize];
+                let became_black = match color {
+                    None if labels.is_black() => return DeltaEffect::Noop,
+                    None => {
+                        labels.set_black();
+                        true
+                    }
+                    Some(c) if labels.add_color(c) => false,
+                    Some(_) => return DeltaEffect::Noop, // duplicate label
+                };
                 if became_black {
                     self.blocks[sa as usize].black += 1;
                     self.blocks[sb as usize].black += 1;
@@ -535,13 +571,17 @@ impl IncrementalCsr {
                 DeltaEffect::EdgeRelabeled { a, b, became_black }
             }
             Err(_) => {
-                let black = labels.is_black();
+                let (labels, black) = match color {
+                    None => (EdgeLabels::black(), true),
+                    Some(c) => (EdgeLabels::colored(c), false),
+                };
+                let edge = self.alloc_labels(labels);
                 self.insert_entry(
                     sa,
                     Entry {
                         id: b,
                         slot: sb,
-                        labels: labels.clone(),
+                        edge,
                     },
                 );
                 self.insert_entry(
@@ -549,7 +589,7 @@ impl IncrementalCsr {
                     Entry {
                         id: a,
                         slot: sa,
-                        labels: labels.clone(),
+                        edge,
                     },
                 );
                 if black {
@@ -562,12 +602,7 @@ impl IncrementalCsr {
         }
     }
 
-    fn strip_label(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        color: Option<xheal_graph::CloudColor>,
-    ) -> DeltaEffect {
+    fn strip_label(&mut self, a: NodeId, b: NodeId, color: Option<CloudColor>) -> DeltaEffect {
         // Strips of edges that died with a deleted endpoint are no-ops,
         // exactly as on the engine's graph.
         let (Some(&sa), Some(&sb)) = (self.index.get(&a), self.index.get(&b)) else {
@@ -576,38 +611,28 @@ impl IncrementalCsr {
         let Ok(pos) = self.find_in_block(sa, b) else {
             return DeltaEffect::Noop;
         };
-        let start = self.blocks[sa as usize].start as usize;
-        let entry = &mut self.adj[start + pos];
-        let was_black = entry.labels.is_black();
+        let edge = self.adj[self.blocks[sa as usize].start as usize + pos].edge;
+        let labels = &mut self.labels[edge as usize];
+        let was_black = labels.is_black();
         let removed = match color {
             None => {
-                let had = was_black;
-                entry.labels.clear_black();
-                had
+                labels.clear_black();
+                was_black
             }
-            Some(c) => entry.labels.remove_color(c),
+            Some(c) => labels.remove_color(c),
         };
         if !removed {
             return DeltaEffect::Noop;
         }
-        let now_black = entry.labels.is_black();
-        let empty = entry.labels.is_empty();
-        if empty {
-            self.remove_entry(sa, b, was_black);
-            self.remove_entry(sb, a, was_black);
+        if labels.is_empty() {
+            self.remove_at(sa, pos, was_black);
+            let mpos = self.find_in_block(sb, a).expect("mirror entry");
+            self.remove_at(sb, mpos, was_black);
+            self.free_labels.push(edge);
             self.edge_count -= 1;
             return DeltaEffect::EdgeDropped { a, b, was_black };
         }
-        // Mirror the strip on the other half.
-        let mpos = self.find_in_block(sb, a).expect("mirror entry");
-        let mstart = self.blocks[sb as usize].start as usize;
-        match color {
-            None => self.adj[mstart + mpos].labels.clear_black(),
-            Some(c) => {
-                self.adj[mstart + mpos].labels.remove_color(c);
-            }
-        }
-        let lost_black = was_black && !now_black;
+        let lost_black = was_black && !labels.is_black();
         if lost_black {
             self.blocks[sa as usize].black -= 1;
             self.blocks[sb as usize].black -= 1;
@@ -631,35 +656,36 @@ impl IncrementalCsr {
         let mut fresh: Vec<Entry> = Vec::with_capacity(2 * self.edge_count);
         for &v in &self.ordered {
             let slot = self.index[&v];
-            let b = self.blocks[slot as usize];
+            let b = &mut self.blocks[slot as usize];
             let start = fresh.len() as u32;
-            fresh.extend_from_slice(self.block_slice_raw(b));
-            self.blocks[slot as usize] = Block {
-                start,
-                len: b.len,
-                cap: b.len,
-                black: b.black,
-            };
+            fresh.extend_from_slice(&self.adj[b.start as usize..(b.start + b.len) as usize]);
+            b.start = start;
+            b.cap = b.len;
         }
         self.adj = fresh;
         self.tombstones = 0;
         self.compactions += 1;
     }
 
-    fn block_slice_raw(&self, b: Block) -> &[Entry] {
-        &self.adj[b.start as usize..(b.start + b.len) as usize]
-    }
-
     // ------------------------------------------------------------------
     // Self-checks (tests and the property suite)
     // ------------------------------------------------------------------
 
-    /// Structural consistency check: mirrored labels, sorted blocks,
-    /// maintained counters, tombstone accounting.
+    /// Structural consistency check: sorted blocks, symmetric edges whose
+    /// halves share one live label record, record and free-list
+    /// accounting, maintained counters, tombstone accounting.
     pub fn validate(&self) -> Result<(), String> {
         if self.index.len() != self.ordered.len() {
             return Err("index/ordered size mismatch".into());
         }
+        let records = self.labels.len();
+        let mut freed = vec![false; records];
+        for &r in &self.free_labels {
+            if r as usize >= records || std::mem::replace(&mut freed[r as usize], true) {
+                return Err(format!("free list holds bad or repeated record {r}"));
+            }
+        }
+        let mut claimed = vec![false; records];
         let mut owned = 0usize;
         let mut edges = 0usize;
         for &v in &self.ordered {
@@ -682,10 +708,15 @@ impl IncrementalCsr {
                 }
             }
             for e in slice {
-                if e.labels.is_empty() {
+                let r = e.edge as usize;
+                if r >= records || freed[r] {
+                    return Err(format!("({v},{}) references freed record {r}", e.id));
+                }
+                let labels = &self.labels[r];
+                if labels.is_empty() {
                     return Err(format!("empty labels on ({v},{})", e.id));
                 }
-                if e.labels.is_black() {
+                if labels.is_black() {
                     black += 1;
                 }
                 if !self.live[e.slot as usize] || self.ids[e.slot as usize] != e.id {
@@ -695,10 +726,13 @@ impl IncrementalCsr {
                     .find_in_block(e.slot, v)
                     .map_err(|_| format!("asymmetric edge ({v},{})", e.id))?;
                 let mb = self.blocks[e.slot as usize];
-                if self.adj[mb.start as usize + mirror].labels != e.labels {
-                    return Err(format!("label mismatch on ({v},{})", e.id));
+                if self.adj[mb.start as usize + mirror].edge != e.edge {
+                    return Err(format!("halves of ({v},{}) use different records", e.id));
                 }
                 if v < e.id {
+                    if std::mem::replace(&mut claimed[r], true) {
+                        return Err(format!("record {r} shared by two edges"));
+                    }
                     edges += 1;
                 }
             }
@@ -709,6 +743,12 @@ impl IncrementalCsr {
         if edges != self.edge_count {
             return Err(format!("edge count {} stored {edges}", self.edge_count));
         }
+        if edges + self.free_labels.len() != records {
+            return Err(format!(
+                "record leak: {edges} live + {} free != {records} records",
+                self.free_labels.len()
+            ));
+        }
         if owned + self.tombstones > self.adj.len() {
             return Err(format!(
                 "accounting leak: {owned} owned + {} tombstones > {} cells",
@@ -717,32 +757,6 @@ impl IncrementalCsr {
             ));
         }
         Ok(())
-    }
-}
-
-/// In-place shifting helpers over the entry array. `copy_within` needs
-/// `Copy`; entries hold an `EdgeLabels`, so these are rotate-style moves.
-trait EntryShift {
-    fn copy_within_entries(&mut self, src: std::ops::Range<usize>, dest: usize);
-    fn copy_within_entries_rev(&mut self, src: std::ops::Range<usize>, dest: usize);
-}
-
-impl EntryShift for Vec<Entry> {
-    /// Moves `src` left to `dest` (`dest < src.start`), like a removal
-    /// shift. Elements beyond the moved region keep their (stale) values.
-    fn copy_within_entries(&mut self, src: std::ops::Range<usize>, dest: usize) {
-        for (k, i) in src.enumerate() {
-            self[dest + k] = self[i].clone();
-        }
-    }
-
-    /// Moves `src` right to `dest` (`dest > src.start`), back-to-front so
-    /// the shift never overwrites unmoved elements — an insertion shift.
-    fn copy_within_entries_rev(&mut self, src: std::ops::Range<usize>, dest: usize) {
-        let delta = dest - src.start;
-        for i in src.rev() {
-            self[i + delta] = self[i].clone();
-        }
     }
 }
 
@@ -919,6 +933,60 @@ mod tests {
             csr.tombstones()
         );
         assert_matches(&csr, &g);
+    }
+
+    #[test]
+    fn dropped_edges_recycle_their_label_records() {
+        use rand::{rngs::StdRng, Rng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut g = generators::cycle(8);
+        let mut csr = IncrementalCsr::new(&g);
+        let mut peak = csr.edge_count();
+        let mut created = 0usize;
+        let mut next = 100u64;
+        for step in 0..3000 {
+            let nodes = g.node_vec();
+            let a = nodes[rng.random_range(0..nodes.len())];
+            let b = nodes[rng.random_range(0..nodes.len())];
+            if step % 50 == 49 {
+                // Node churn frees every incident record at once.
+                g.remove_node(a).unwrap();
+                csr.apply(&TopologyDelta::NodeRemoved(a));
+                let v = n(next);
+                next += 1;
+                g.add_node(v).unwrap();
+                csr.apply(&TopologyDelta::NodeAdded(v));
+            } else if a != b && g.has_edge(a, b) {
+                // Strip every label this churn uses: the edge drops.
+                for color in [None, Some(CloudColor::new(0)), Some(CloudColor::new(1))] {
+                    match color {
+                        None => g.strip_black(a, b),
+                        Some(c) => g.strip_color(a, b, c),
+                    };
+                    csr.apply(&TopologyDelta::EdgeRemoved { a, b, color });
+                }
+            } else if a != b {
+                let c = CloudColor::new(rng.random_range(0..2));
+                g.add_colored_edge(a, b, c).unwrap();
+                csr.apply(&TopologyDelta::EdgeAdded {
+                    a,
+                    b,
+                    color: Some(c),
+                });
+                created += 1;
+            }
+            peak = peak.max(csr.edge_count());
+            if step % 100 == 0 {
+                assert_matches(&csr, &g);
+            }
+        }
+        assert_matches(&csr, &g);
+        assert!(created > 500, "churn must create many edges: {created}");
+        assert!(
+            csr.labels.len() <= peak,
+            "{} records for a peak of {peak} live edges after {created} creations",
+            csr.labels.len()
+        );
     }
 
     #[test]

@@ -145,19 +145,20 @@ impl DegreeIncreaseTracker {
     /// `dbase` (either may be negative for the live part; the baseline only
     /// ever grows).
     pub fn adjust(&mut self, v: NodeId, dlive: i64, dbase: i64) {
-        let Some(&(live, base)) = self.degrees.get(&v) else {
+        let Some(degrees) = self.degrees.get_mut(&v) else {
             debug_assert!(false, "{v} not tracked");
             return;
         };
+        let (live, base) = *degrees;
         let nlive = (live as i64 + dlive) as u32;
         let nbase = (base as i64 + dbase) as u32;
+        *degrees = (nlive, nbase);
         if let Some(k) = Self::ratio_key(live, base) {
             self.multiset_remove(k);
         }
         if let Some(k) = Self::ratio_key(nlive, nbase) {
             *self.ratios.entry(k).or_insert(0) += 1;
         }
-        self.degrees.insert(v, (nlive, nbase));
     }
 
     /// The maintained maximum ratio (0.0 when no comparable node exists) —
