@@ -2,8 +2,8 @@
 //! through identical seeded adversary schedules, scored live by the
 //! monitoring subsystem, one trade-off matrix out.
 //!
-//! For each of the ten registry engines (`xheal`, `xheal-par`, the two
-//! distributed substrates, DEX, and the five baselines) and each of the
+//! For each of the nine registry engines (`xheal`, the two distributed
+//! substrates, DEX, and the five baselines) and each of the
 //! three standard schedules (uniform churn, clustered `DeleteBatch`
 //! bursts, insert-heavy growth), a fresh engine runs the schedule with an
 //! [`xheal_monitor::Monitor`] subscribed to its delta stream. The scorer
@@ -276,7 +276,7 @@ fn main() {
     // schedule connected; DEX additionally respects its hard degree cap on
     // the final graph (the per-event assertion already covered the run).
     for sched in matrix.schedules() {
-        for engine in ["xheal", "xheal-par", "xheal-dist-sync", "xheal-dist-async"] {
+        for engine in ["xheal", "xheal-dist-sync", "xheal-dist-async"] {
             let c = matrix.cell(engine, sched).expect("complete");
             assert_eq!(c.quality.components, 1, "{engine}/{sched} disconnected");
         }

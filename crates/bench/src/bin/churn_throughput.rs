@@ -15,12 +15,6 @@
 //! - **topology fingerprints** proving both backends walked through
 //!   bit-identical edge sets (the determinism guarantee of the rewrite).
 //!
-//! - **component-parallel cores axis**: end-to-end batch healing through
-//!   sequential [`xheal_core::Xheal`] vs [`xheal_core::ParallelXheal`] at
-//!   each requested thread count (`--threads 1,2,4` or `XHEAL_THREADS`),
-//!   under both scattered-uniform and clustered-outage failure models,
-//!   with fingerprints asserted bit-identical at every thread count.
-//!
 //! Output is `BENCH_throughput.json` (override with `--out`); `--smoke`
 //! shrinks sizes for CI; `--trace <path>` additionally captures a fully
 //! instrumented cross-layer companion run as chrome://tracing JSON (see
@@ -39,10 +33,7 @@ use xheal_bench::{alloc_count, ALLOC_COUNTING};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xheal_core::{
-    ApplyScratch, BatchVictim, Event, HealingEngine, ParallelXheal, RepairPlanner, SinkRegistry,
-    Xheal, XhealConfig,
-};
+use xheal_core::{ApplyScratch, BatchVictim, RepairPlanner, SinkRegistry, XhealConfig};
 use xheal_graph::baseline::BaselineGraph;
 use xheal_graph::{generators, CloudColor, EdgeLabels, Graph, NodeId};
 
@@ -504,151 +495,6 @@ fn measure_grouped_pair(g0: &Graph, deletes: usize, trials: usize) -> (String, f
     (json, uniform_speedup, clustered_speedup, grouped_allocs)
 }
 
-/// Victims per event on the component-parallel cores axis: large enough
-/// that a uniform draw dies in ~dozens of independent components (phase-2
-/// parallelism to harvest), and matching [`CLUSTER_BATCH`] so the clustered
-/// row measures the honest worst case (one BFS ball ≈ one component ≈ no
-/// phase-2 parallelism at all).
-const PAR_BATCH: usize = 64;
-
-/// Result of one batch-heal run (sequential engine or the parallel engine
-/// at a fixed thread count): the **whole** heal is timed — victim capture,
-/// node removal, planning, and grouped application — because that is the
-/// end-to-end number the cores axis claims to scale.
-struct ParBatchResult {
-    deletes: usize,
-    heal: Quantiles,
-    elapsed: Duration,
-    fingerprint: u64,
-}
-
-/// Batched delete-only schedule through a [`HealingEngine`]: `threads:
-/// None` drives sequential [`Xheal`] (the baseline), `Some(t)` drives
-/// [`ParallelXheal`] with a `t`-thread pool. Identical seeds, so every
-/// configuration replays the same victim schedule and must land on the
-/// same topology fingerprint — that assert *is* the determinism claim.
-fn run_parallel_batch(
-    g0: &Graph,
-    deletes: usize,
-    threads: Option<usize>,
-    clustered: bool,
-) -> ParBatchResult {
-    let n = g0.node_count();
-    let config = XhealConfig::new(KAPPA).with_seed(PLANNER_SEED);
-    let mut seq: Option<Xheal> = None;
-    let mut par: Option<ParallelXheal> = None;
-    let engine: &mut dyn HealingEngine = match threads {
-        None => seq.insert(Xheal::new(g0, config)),
-        Some(t) => par.insert(ParallelXheal::new(g0, config, t)),
-    };
-    let events = deletes.div_ceil(PAR_BATCH);
-    let mut adv = StdRng::seed_from_u64(ADVERSARY_SEED ^ 0xBA7C4);
-    let mut live: Vec<NodeId> = if clustered {
-        Vec::new()
-    } else {
-        g0.nodes().collect()
-    };
-    let mut victims: Vec<NodeId> = Vec::with_capacity(PAR_BATCH);
-    let mut heal_ns: Vec<u64> = Vec::with_capacity(events);
-    let mut elapsed = Duration::ZERO;
-    let mut applied = 0usize;
-
-    for _ in 0..events {
-        if clustered {
-            bfs_ball(engine.graph(), n, &mut adv, PAR_BATCH, &mut victims);
-        } else {
-            victims.clear();
-            for _ in 0..PAR_BATCH {
-                victims.push(live.swap_remove(adv.random_range(0..live.len())));
-            }
-        }
-        applied += victims.len();
-        let event = Event::DeleteBatch {
-            nodes: victims.clone(),
-        };
-        let t = Instant::now();
-        engine.apply(&event).expect("victims are live");
-        let spent = t.elapsed();
-        elapsed += spent;
-        heal_ns.push(spent.as_nanos() as u64);
-    }
-
-    ParBatchResult {
-        deletes: applied,
-        heal: quantiles(&mut heal_ns),
-        elapsed,
-        fingerprint: engine.graph().edge_fingerprint(),
-    }
-}
-
-/// The cores axis under one failure model: sequential baseline, then the
-/// parallel engine at every requested thread count, best-of-trials each,
-/// fingerprints asserted identical throughout. Returns the JSON fragment
-/// and the best parallel speedup observed.
-fn measure_parallel_axis(
-    g0: &Graph,
-    deletes: usize,
-    trials: usize,
-    threads_list: &[usize],
-    clustered: bool,
-) -> (String, f64) {
-    let label = if clustered { "clustered" } else { "uniform" };
-    let best = |threads: Option<usize>| {
-        (0..trials)
-            .map(|_| run_parallel_batch(g0, deletes, threads, clustered))
-            .min_by_key(|r| r.elapsed)
-            .expect("at least one trial")
-    };
-    let seq = best(None);
-    let mut best_speedup = 0.0f64;
-    let mut rows: Vec<String> = Vec::with_capacity(threads_list.len());
-    for &t in threads_list {
-        let par = best(Some(t));
-        assert_eq!(
-            seq.fingerprint, par.fingerprint,
-            "parallel batch healing must be bit-identical to sequential (threads={t})"
-        );
-        let speedup = seq.elapsed.as_secs_f64() / par.elapsed.as_secs_f64().max(1e-9);
-        best_speedup = best_speedup.max(speedup);
-        eprintln!(
-            "[n={} {label}] parallel batch heal x{t}: {speedup:.2}x over sequential ({} vs {} mean ns/event)",
-            g0.node_count(),
-            par.heal.mean,
-            seq.heal.mean,
-        );
-        rows.push(format!(
-            "{{\"threads\": {t}, \"heal\": {}, \"total_ms\": {:.3}, \"speedup\": {speedup:.3}, \"fingerprint_match\": true}}",
-            json_quantiles(&par.heal),
-            par.elapsed.as_secs_f64() * 1e3,
-        ));
-    }
-    let json = format!(
-        "{{\"deletes\": {}, \"batch\": {PAR_BATCH}, \"sequential\": {{\"heal\": {}, \"total_ms\": {:.3}}}, \"cores\": [{}]}}",
-        seq.deletes,
-        json_quantiles(&seq.heal),
-        seq.elapsed.as_secs_f64() * 1e3,
-        rows.join(", "),
-    );
-    (json, best_speedup)
-}
-
-/// Runs the cores axis under both failure models (scattered uniform — many
-/// dead components, real phase-2 parallelism — and clustered BFS-ball —
-/// one component, prologue-only parallelism), returning the combined JSON
-/// object plus the best uniform speedup.
-fn measure_parallel_batch(
-    g0: &Graph,
-    deletes: usize,
-    trials: usize,
-    threads_list: &[usize],
-) -> (String, f64) {
-    let (uniform_json, uniform_speedup) =
-        measure_parallel_axis(g0, deletes, trials, threads_list, false);
-    let (clustered_json, _) = measure_parallel_axis(g0, deletes, trials, threads_list, true);
-    let json = format!("{{\"uniform\": {uniform_json}, \"clustered_outage\": {clustered_json}}}");
-    (json, uniform_speedup)
-}
-
 /// The memory-level-parallelism probe: one 64-bit-index pointer-chase ring
 /// (a Sattolo single-cycle permutation), walked two ways over the same
 /// total loads — a single dependent chain (each load's address depends on
@@ -854,58 +700,17 @@ fn measure_size(n: usize, micro_deletes: usize, churn_events: usize, trials: usi
 /// The memory-wall row: an arena-only grouped-vs-per-edge comparison at a
 /// size where the seed backend is infeasible (the full seed run at n=50k
 /// already takes ~25 minutes; 1M would take days). Returns the JSON entry
-/// and the grouped apply-phase speedup.
-fn measure_size_arena_only(
-    n: usize,
-    deletes: usize,
-    trials: usize,
-    threads_list: &[usize],
-) -> (String, f64, f64, f64) {
+/// and the grouped apply-phase speedups (uniform, clustered).
+fn measure_size_arena_only(n: usize, deletes: usize, trials: usize) -> (String, f64, f64) {
     eprintln!("[n={n}] arena-only memory-wall row: generating 6-regular network…");
     let mut rng = StdRng::seed_from_u64(n as u64);
     let g0 = generators::random_regular(n, 6, &mut rng);
     eprintln!("[n={n}] grouped vs per-edge plan application: {deletes} deletes × {trials} trial(s) per path");
     let (grouped_json, grouped_speedup, clustered_speedup, _) =
         measure_grouped_pair(&g0, deletes, trials);
-    eprintln!(
-        "[n={n}] component-parallel batch healing: {deletes} deletes × {trials} trial(s), threads {threads_list:?}"
-    );
-    let (parallel_json, parallel_speedup) =
-        measure_parallel_batch(&g0, deletes, trials, threads_list);
-    let entry = format!(
-        "    {{\"n\": {n}, \"arena_only\": true, \"grouped_apply\": {grouped_json}, \"parallel_batch\": {parallel_json}}}"
-    );
-    (entry, grouped_speedup, clustered_speedup, parallel_speedup)
-}
-
-/// Thread counts for the cores axis: `--threads 1,2,4` beats the
-/// `XHEAL_THREADS` env var beats the default — {1, 2, 4, 8} clipped to
-/// twice the host's cores (one oversubscribed point stays in, so
-/// single-core hosts still record the pool's overhead honestly), and
-/// always at least {1, 2} so the determinism cross-check runs everywhere.
-fn thread_axis(args: &[String]) -> Vec<usize> {
-    let spec = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("XHEAL_THREADS").ok());
-    if let Some(spec) = spec {
-        let parsed: Vec<usize> = spec
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&t| t >= 1)
-            .collect();
-        assert!(!parsed.is_empty(), "no valid thread counts in {spec:?}");
-        return parsed;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .filter(|&t| t <= (2 * cores).max(2))
-        .collect()
+    let entry =
+        format!("    {{\"n\": {n}, \"arena_only\": true, \"grouped_apply\": {grouped_json}}}");
+    (entry, grouped_speedup, clustered_speedup)
 }
 
 fn main() {
@@ -917,7 +722,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_throughput.json".to_string());
-    let threads_list = thread_axis(&args);
 
     // (n, micro deletes, churn events) per size. Churn runs 2 events per
     // node at 1k/10k so those sizes reach the sustained-churn regime
@@ -955,9 +759,9 @@ fn main() {
         .iter()
         .map(|&(n, d, e)| measure_size(n, d, e, trials))
         .collect();
-    let large_reports: Vec<(String, f64, f64, f64)> = large_rows
+    let large_reports: Vec<(String, f64, f64)> = large_rows
         .iter()
-        .map(|&(n, d)| measure_size_arena_only(n, d, trials, &threads_list))
+        .map(|&(n, d)| measure_size_arena_only(n, d, trials))
         .collect();
     let mlp = run_mlp_probe(mlp_elements);
 
@@ -985,22 +789,17 @@ fn main() {
             )
         })
         .collect();
-    size_entries.extend(large_reports.iter().map(|(entry, _, _, _)| entry.clone()));
+    size_entries.extend(large_reports.iter().map(|(entry, _, _)| entry.clone()));
     let grouped_speedups: Vec<f64> = reports
         .iter()
         .map(|r| r.grouped_speedup)
-        .chain(large_reports.iter().map(|&(_, s, _, _)| s))
+        .chain(large_reports.iter().map(|&(_, s, _)| s))
         .collect();
     let clustered_speedups: Vec<f64> = reports
         .iter()
         .map(|r| r.clustered_speedup)
-        .chain(large_reports.iter().map(|&(_, _, s, _)| s))
+        .chain(large_reports.iter().map(|&(_, _, s)| s))
         .collect();
-    let parallel_speedups: Vec<f64> = large_reports.iter().map(|&(_, _, _, s)| s).collect();
-    let parallel_speedup_max = parallel_speedups.iter().copied().fold(0.0, f64::max);
-    let host_cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
     let min_grouped = grouped_speedups
         .iter()
         .chain(clustered_speedups.iter())
@@ -1016,12 +815,7 @@ fn main() {
         mlp.elements, mlp.lanes, mlp.loads, mlp.dependent_ns_per_load, mlp.batched_ns_per_load, mlp.ratio,
     );
     let json = format!(
-        "{{\n  \"schema\": \"xheal-churn-throughput/v3\",\n  \"smoke\": {smoke},\n  \"alloc_counting\": {ALLOC_COUNTING},\n  \"kappa\": {KAPPA},\n  \"planner_seed\": {PLANNER_SEED},\n  \"adversary_seed\": {ADVERSARY_SEED},\n  \"host_cores\": {host_cores},\n  \"parallel_threads\": [{}],\n  \"mlp_probe\": {mlp_json},\n  \"sizes\": [\n{}\n  ],\n  \"summary\": {{\n    \"micro_graph_side_speedup_min\": {min_micro:.3},\n    \"micro_graph_side_speedup_max\": {max_micro:.3},\n    \"churn_events_per_sec_speedup_min\": {min_churn:.3},\n    \"churn_events_per_sec_speedup_max\": {max_churn:.3},\n    \"grouped_apply_speedup_min\": {min_grouped:.3},\n    \"grouped_apply_speedup_max\": {max_grouped:.3},\n    \"parallel_batch_speedup_max\": {parallel_speedup_max:.3},\n    \"micro_full_op_speedups\": [{}],\n    \"grouped_apply_speedups\": [{}],\n    \"clustered_apply_speedups\": [{}],\n    \"parallel_batch_speedups\": [{}],\n    \"topology_match\": {all_match}\n  }}\n}}\n",
-        threads_list
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
+        "{{\n  \"schema\": \"xheal-churn-throughput/v4\",\n  \"smoke\": {smoke},\n  \"alloc_counting\": {ALLOC_COUNTING},\n  \"kappa\": {KAPPA},\n  \"planner_seed\": {PLANNER_SEED},\n  \"adversary_seed\": {ADVERSARY_SEED},\n  \"mlp_probe\": {mlp_json},\n  \"sizes\": [\n{}\n  ],\n  \"summary\": {{\n    \"micro_graph_side_speedup_min\": {min_micro:.3},\n    \"micro_graph_side_speedup_max\": {max_micro:.3},\n    \"churn_events_per_sec_speedup_min\": {min_churn:.3},\n    \"churn_events_per_sec_speedup_max\": {max_churn:.3},\n    \"grouped_apply_speedup_min\": {min_grouped:.3},\n    \"grouped_apply_speedup_max\": {max_grouped:.3},\n    \"micro_full_op_speedups\": [{}],\n    \"grouped_apply_speedups\": [{}],\n    \"clustered_apply_speedups\": [{}],\n    \"topology_match\": {all_match}\n  }}\n}}\n",
         size_entries.join(",\n"),
         reports
             .iter()
@@ -1034,11 +828,6 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", "),
         clustered_speedups
-            .iter()
-            .map(|s| format!("{s:.3}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-        parallel_speedups
             .iter()
             .map(|s| format!("{s:.3}"))
             .collect::<Vec<_>>()

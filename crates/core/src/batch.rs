@@ -18,17 +18,15 @@
 //! Like single deletions, the *decisions* live in the planner
 //! ([`RepairPlanner::plan_batch_deletion`] turns a captured
 //! [`BatchVictim`] context into a staged [`BatchRepairPlan`]) and executors
-//! only apply them: [`Xheal::heal_delete_batch`] applies the stages
+//! only apply them: [`crate::Xheal::heal_delete_batch`] applies the stages
 //! directly, `xheal-dist`'s `delete_batch` runs one message protocol per
 //! stage — concurrently — before applying the identical deltas.
 
 use std::collections::BTreeSet;
 
 use xheal_graph::{Graph, NodeId};
-use xheal_trace::{hook, Layer};
 
 use crate::error::HealError;
-use crate::heal::Xheal;
 use crate::plan::PlanAction;
 
 /// Report for one batch healing operation.
@@ -223,52 +221,11 @@ pub(crate) fn victim_components(victims: &[BatchVictim]) -> Vec<Vec<NodeId>> {
     out
 }
 
-impl Xheal {
-    /// Deletes all `victims` simultaneously, then heals each dead component
-    /// in one repair (the multi-deletion extension).
-    ///
-    /// # Errors
-    ///
-    /// As in [`BatchVictim::validate`]: [`HealError::NodeMissing`] for an
-    /// absent victim, [`HealError::DuplicateVictim`] for a repeated one,
-    /// both checked before any mutation.
-    pub fn heal_delete_batch(&mut self, victims: &[NodeId]) -> Result<BatchReport, HealError> {
-        let ctx = BatchVictim::capture(self.graph(), victims)?;
-        let (graph, planner, sinks, scratch, tracer) = self.batch_parts();
-        let seq = planner.peek_repair_seq();
-        hook::begin(
-            tracer,
-            Layer::Executor,
-            "exec.batch",
-            seq,
-            victims.len() as u64,
-        );
-        for bv in &ctx {
-            let _ = graph.remove_node(bv.node);
-            if !sinks.is_empty() {
-                sinks.emit(crate::engine::TopologyDelta::NodeRemoved(bv.node));
-            }
-        }
-        let plan = planner.plan_batch_deletion(&ctx);
-        hook::begin(
-            tracer,
-            Layer::Executor,
-            "exec.apply",
-            seq,
-            plan.stages.len() as u64,
-        );
-        plan.apply_streamed_with(graph, sinks, scratch);
-        hook::end(tracer, Layer::Executor, "exec.apply", seq, 0);
-        hook::end(tracer, Layer::Executor, "exec.batch", seq, 0);
-        Ok(plan.report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::planner::RepairPlanner;
-    use crate::{invariants, XhealConfig};
+    use crate::{invariants, Xheal, XhealConfig};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use xheal_graph::{components, generators};
 

@@ -12,6 +12,7 @@
 use xheal_graph::{CloudColor, CloudKind, EdgeLabels, Graph, NodeId};
 use xheal_trace::{hook, Layer, SharedTracer};
 
+use crate::batch::{BatchReport, BatchVictim};
 use crate::cloud::{Cloud, NodeState};
 use crate::config::XhealConfig;
 use crate::engine::{SinkRegistry, TopologyDelta, TopologySink};
@@ -229,30 +230,42 @@ impl Xheal {
         Ok(plan.report)
     }
 
-    // ------------------------------------------------------------------
-    // Batch-deletion support (crate-internal; see batch.rs)
-    // ------------------------------------------------------------------
-
-    /// Simultaneous access to the graph, the planner, the sink registry,
-    /// the grouped-apply scratch, and the tracer handle for the batch
-    /// executor, which must mutate the first four around one planning call
-    /// while recording its own spans.
-    pub(crate) fn batch_parts(
-        &mut self,
-    ) -> (
-        &mut Graph,
-        &mut RepairPlanner,
-        &mut SinkRegistry,
-        &mut ApplyScratch,
-        &Option<SharedTracer>,
-    ) {
-        (
-            &mut self.graph,
-            &mut self.planner,
-            &mut self.sinks,
-            &mut self.scratch_apply,
+    /// Deletes all `victims` simultaneously, then heals each dead component
+    /// in one repair (the multi-deletion extension; see batch.rs).
+    ///
+    /// # Errors
+    ///
+    /// As in [`BatchVictim::validate`]: [`HealError::NodeMissing`] for an
+    /// absent victim, [`HealError::DuplicateVictim`] for a repeated one,
+    /// both checked before any mutation.
+    pub fn heal_delete_batch(&mut self, victims: &[NodeId]) -> Result<BatchReport, HealError> {
+        let ctx = BatchVictim::capture(&self.graph, victims)?;
+        let seq = self.planner.peek_repair_seq();
+        hook::begin(
             &self.tracer,
-        )
+            Layer::Executor,
+            "exec.batch",
+            seq,
+            victims.len() as u64,
+        );
+        for bv in &ctx {
+            let _ = self.graph.remove_node(bv.node);
+            if !self.sinks.is_empty() {
+                self.sinks.emit(TopologyDelta::NodeRemoved(bv.node));
+            }
+        }
+        let plan = self.planner.plan_batch_deletion(&ctx);
+        hook::begin(
+            &self.tracer,
+            Layer::Executor,
+            "exec.apply",
+            seq,
+            plan.stages.len() as u64,
+        );
+        plan.apply_streamed_with(&mut self.graph, &mut self.sinks, &mut self.scratch_apply);
+        hook::end(&self.tracer, Layer::Executor, "exec.apply", seq, 0);
+        hook::end(&self.tracer, Layer::Executor, "exec.batch", seq, 0);
+        Ok(plan.report)
     }
 }
 

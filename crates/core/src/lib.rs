@@ -60,11 +60,9 @@ mod event;
 mod heal;
 mod healer;
 pub mod invariants;
-mod parallel;
 mod plan;
 mod planner;
 mod registry;
-mod shard;
 mod stats;
 
 pub use batch::{BatchRepairPlan, BatchReport, BatchStage, BatchVictim};
@@ -78,7 +76,6 @@ pub use error::HealError;
 pub use event::Event;
 pub use heal::{Xheal, XhealBuilder};
 pub use healer::Healer;
-pub use parallel::ParallelXheal;
 pub use plan::{ApplyScratch, PlanAction, RepairPlan};
 pub use planner::RepairPlanner;
 pub use registry::{EngineBuilder, EngineRegistry};

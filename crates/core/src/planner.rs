@@ -10,33 +10,29 @@
 //! random draw happens inside the planner, two executors replaying the same
 //! schedule with the same seed make bit-identical topology changes.
 //!
-//! The healing cases themselves live in `shard.rs`, generic over a
-//! [`PlanStore`]; this planner is the *direct* store (zero-overhead
-//! pass-through). Batch deletions additionally use derived per-cloud /
-//! per-component RNG streams and reserved color windows (see `shard.rs`), so
-//! the sequential batch path and the component-parallel path
-//! ([`crate::ParallelXheal`]) make bit-identical decisions at every thread
-//! count.
+//! The healing cases themselves are planner methods in `planner/cases.rs`.
+//! Batch deletions additionally use derived per-cloud / per-component RNG
+//! streams and reserved per-component color windows (see that module), so
+//! every batch decision is fixed by the batch's seed and victim set alone.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
-use xheal_expander::{EdgeDelta, MaintainedExpander};
+use xheal_expander::EdgeDelta;
 use xheal_graph::{CloudColor, CloudKind, EdgeLabels, FxHashMap, NodeId};
-use xheal_pool::WorkerPool;
 use xheal_trace::{hook, Layer, SharedTracer};
 
 use crate::batch::{victim_components, BatchRepairPlan, BatchReport, BatchStage, BatchVictim};
 use crate::cloud::{Cloud, NodeState};
 use crate::config::XhealConfig;
 use crate::plan::{PlanAction, RepairPlan};
-use crate::shard::{
-    self, derive_seed, CompOutcome, CompShard, ComponentInput, PlanStore, EMPTY_FREE,
-    SEED_COMPONENT, SEED_DETACH,
-};
 use crate::stats::{DeletionReport, HealCase, HealStats};
+
+mod cases;
+
+use cases::{derive_seed, ComponentInput, SEED_COMPONENT, SEED_DETACH};
 
 /// The shared decision engine of the centralized and distributed healers.
 ///
@@ -183,12 +179,6 @@ impl RepairPlanner {
         self.clouds.len()
     }
 
-    /// Read access to the reverse attachment index of one primary (for the
-    /// copy-on-write component shard).
-    pub(crate) fn base_attached(&self, p: CloudColor) -> Option<&BTreeMap<CloudColor, u32>> {
-        self.attached_to.get(&p)
-    }
-
     /// Invariant checks (I8, I9): the reverse attachment index holds exactly
     /// the bridge counts recomputable from the live secondary clouds, and
     /// the maintained color order is sorted and mirrors the registry keys.
@@ -277,7 +267,7 @@ impl RepairPlanner {
         let case = if state.is_cloudless() {
             // Case 1: all deleted edges are black.
             if black_nbrs.len() >= 2 {
-                shard::create_primary_cloud(self, &black_nbrs);
+                self.create_primary_cloud(&black_nbrs);
                 HealCase::AllBlack
             } else {
                 // Degree <= 1: "the deleted node is just dropped".
@@ -319,8 +309,7 @@ impl RepairPlanner {
     }
 
     // ------------------------------------------------------------------
-    // Case 2 machinery (the cases themselves live in shard.rs, generic
-    // over the store; this planner is the direct store)
+    // Case 2 machinery (the cases themselves live in planner/cases.rs)
     // ------------------------------------------------------------------
 
     fn plan_colored_deletion(
@@ -340,7 +329,7 @@ impl RepairPlanner {
         // Black neighbors become singleton primary clouds (Case 2 prose).
         let mut singletons: Vec<CloudColor> = Vec::new();
         for &w in black_nbrs {
-            singletons.push(shard::create_primary_cloud(self, &[w]));
+            singletons.push(self.create_primary_cloud(&[w]));
         }
 
         match state.secondary {
@@ -348,25 +337,19 @@ impl RepairPlanner {
                 // Case 2.1.
                 let mut group = alive_primaries;
                 group.extend(singletons);
-                shard::make_secondary_among(self, &group);
+                self.make_secondary_among(&group);
                 HealCase::PrimaryOnly
             }
             Some(f) => {
                 // Case 2.2: v was the bridge of some primary ci in F.
-                let ci = self
-                    .clouds
-                    .get_mut(&f)
-                    .and_then(|cl| cl.attachments_mut().remove(&v));
-                if let Some(ci) = ci {
-                    self.attach_dec(ci, f);
-                }
+                let ci = self.take_bridge_target(f, v);
                 let f_emptied = self.remove_from_cloud(f, v);
                 let ci_alive = ci.filter(|c| self.clouds.contains_key(c));
                 let anchor = if f_emptied {
                     // F died with v; the ci side has no F component to join.
                     ci_alive
                 } else {
-                    shard::fix_secondary(self, f, ci_alive)
+                    self.fix_secondary(f, ci_alive)
                 };
 
                 // Clouds still connected through F need no new secondary.
@@ -388,7 +371,7 @@ impl RepairPlanner {
                         group.push(a);
                     }
                 }
-                shard::make_secondary_among(self, &group);
+                self.make_secondary_among(&group);
                 HealCase::Bridge
             }
         }
@@ -405,11 +388,6 @@ impl RepairPlanner {
     fn registry_insert(&mut self, color: CloudColor, cloud: Cloud) {
         let prev = self.clouds.insert(color, cloud);
         debug_assert!(prev.is_none(), "color {color} registered twice");
-        self.register_color(color);
-    }
-
-    /// Maintains the sorted `color_order` list for a newly registered color.
-    fn register_color(&mut self, color: CloudColor) {
         match self.color_order.last() {
             Some(&last) if last >= color => {
                 if let Err(pos) = self.color_order.binary_search(&color) {
@@ -427,6 +405,44 @@ impl RepairPlanner {
             self.color_order.remove(pos);
         }
         Some(cloud)
+    }
+
+    /// Allocates the next cloud color.
+    fn fresh_color(&mut self) -> CloudColor {
+        let c = CloudColor::new(self.next_color);
+        self.next_color += 1;
+        c
+    }
+
+    /// Records a plan action and its edge-count contributions.
+    fn emit(&mut self, action: PlanAction) {
+        let delta = action.delta();
+        self.op_added += delta.added.len();
+        self.op_removed += delta.removed.len();
+        self.actions.push(action);
+    }
+
+    /// Records one more bridge of secondary `f` targeting primary `p` (I8).
+    fn attach_inc(&mut self, p: CloudColor, f: CloudColor) {
+        *self.attached_to.entry(p).or_default().entry(f).or_insert(0) += 1;
+    }
+
+    /// Removes one bridge of secondary `f` targeting primary `p` (I8).
+    fn attach_dec(&mut self, p: CloudColor, f: CloudColor) {
+        let Some(m) = self.attached_to.get_mut(&p) else {
+            debug_assert!(false, "attachment index missing primary {p}");
+            return;
+        };
+        match m.get_mut(&f) {
+            Some(c) if *c > 1 => *c -= 1,
+            Some(_) => {
+                m.remove(&f);
+                if m.is_empty() {
+                    self.attached_to.remove(&p);
+                }
+            }
+            None => debug_assert!(false, "attachment index missing ({p},{f})"),
+        }
     }
 
     /// Removes `v` from a cloud, returning `true` when the cloud emptied and
@@ -467,7 +483,7 @@ impl RepairPlanner {
         }
         if freed {
             // Losing its bridge duty makes v free again in its primaries.
-            shard::set_free_status(self, v, true);
+            self.set_free_status(v, true);
         }
         let emptied = self.clouds.get(&color).is_some_and(Cloud::is_empty);
         if emptied {
@@ -504,24 +520,6 @@ impl RepairPlanner {
     /// state; the caller must apply the returned plan to its graph to stay
     /// consistent.
     pub fn plan_batch_deletion(&mut self, ctx: &[BatchVictim]) -> BatchRepairPlan {
-        self.plan_batch_in(ctx, None)
-    }
-
-    /// [`RepairPlanner::plan_batch_deletion`] with the detach prologue and
-    /// per-component healing fanned out over `pool`. Bit-identical to the
-    /// sequential path at every thread count (both draw per-cloud /
-    /// per-component derived RNG streams and allocate colors from reserved
-    /// windows; speculative components that touched state an earlier
-    /// component changed are replayed in component order).
-    pub(crate) fn plan_batch_deletion_parallel(
-        &mut self,
-        ctx: &[BatchVictim],
-        pool: &WorkerPool,
-    ) -> BatchRepairPlan {
-        self.plan_batch_in(ctx, Some(pool))
-    }
-
-    fn plan_batch_in(&mut self, ctx: &[BatchVictim], pool: Option<&WorkerPool>) -> BatchRepairPlan {
         self.reset_op_counters();
         self.actions.clear();
         self.repair_seq += 1;
@@ -534,9 +532,8 @@ impl RepairPlanner {
             ctx.len() as u64,
         );
         let secondaries_before = self.stats.secondaries_built;
-        // One master draw; everything else derives from it, so the repair
-        // streams of distinct clouds/components are independent of execution
-        // interleaving.
+        // One master draw; every cloud and component repair derives its own
+        // stream from it, so no repair consumes another repair's draws.
         let batch_seed = self.rng.next_u64();
 
         // Phase 0: victim states, lost bridges, and the by-cloud grouping —
@@ -559,10 +556,8 @@ impl RepairPlanner {
         }
 
         // Phase 1 (detach prologue): remove every victim from every cloud
-        // (FixPrimary / the structural part of FixSecondary). Each affected
-        // cloud is an independent task with its own derived RNG; the
-        // parallel path merges results back in ascending color order, so the
-        // emitted prologue is identical either way.
+        // (FixPrimary / the structural part of FixSecondary), in ascending
+        // color order, each cloud with its own derived RNG.
         hook::begin(
             &self.tracer,
             Layer::Planner,
@@ -570,13 +565,8 @@ impl RepairPlanner {
             seq,
             by_cloud.len() as u64,
         );
-        match pool {
-            None => {
-                for (&c, vs) in &by_cloud {
-                    self.detach_one(c, vs, batch_seed);
-                }
-            }
-            Some(pool) => self.detach_parallel(&by_cloud, batch_seed, pool, seq),
+        for (&c, vs) in &by_cloud {
+            self.detach_one(c, vs, batch_seed);
         }
         hook::end(&self.tracer, Layer::Planner, "plan.detach", seq, 0);
         // Stage boundaries inside the flat action buffer: prologue end,
@@ -584,10 +574,9 @@ impl RepairPlanner {
         let mut checkpoints: Vec<usize> = vec![self.actions.len()];
 
         // Phase 2: per dead component, run the healing cases on the merged
-        // state. Components draw from derived RNG streams and allocate
-        // colors inside reserved windows (prefix sums of a per-component
-        // bound), so their decisions do not depend on who ran first — only
-        // on what state they *touched*, which the parallel path tracks.
+        // state. Each component draws from its own derived RNG stream and
+        // allocates colors inside its reserved window (prefix sums of a
+        // per-component bound).
         let components = victim_components(ctx);
         let boundary_of: BTreeMap<NodeId, &[NodeId]> = ctx
             .iter()
@@ -615,14 +604,6 @@ impl RepairPlanner {
                 }
             })
             .collect();
-        let phase2_base = self.next_color;
-        let mut bases: Vec<u64> = Vec::with_capacity(inputs.len());
-        let mut acc = phase2_base;
-        for input in &inputs {
-            bases.push(acc);
-            acc += input.color_bound();
-        }
-        let color_end = acc;
 
         hook::begin(
             &self.tracer,
@@ -631,77 +612,37 @@ impl RepairPlanner {
             seq,
             inputs.len() as u64,
         );
-        match pool {
-            None => {
-                for (i, input) in inputs.iter().enumerate() {
-                    hook::begin(
-                        &self.tracer,
-                        Layer::Planner,
-                        "plan.component",
-                        seq,
-                        i as u64,
-                    );
-                    let derived =
-                        StdRng::seed_from_u64(derive_seed(batch_seed, SEED_COMPONENT, i as u64));
-                    let saved = std::mem::replace(&mut self.rng, derived);
-                    self.next_color = bases[i];
-                    shard::heal_component(self, input);
-                    assert!(
-                        self.next_color <= bases[i] + input.color_bound(),
-                        "component overran its color namespace"
-                    );
-                    self.rng = saved;
-                    checkpoints.push(self.actions.len());
-                    hook::end(
-                        &self.tracer,
-                        Layer::Planner,
-                        "plan.component",
-                        seq,
-                        i as u64,
-                    );
-                }
-            }
-            Some(pool) => {
-                let mut slots = self.speculate_components(&inputs, &bases, batch_seed, pool, seq);
-                // Commit in component order. A speculative outcome whose
-                // footprint is disjoint from everything committed so far saw
-                // exactly the state a sequential replay would have seen, so
-                // it commits verbatim; otherwise replay it here against the
-                // current state (the replayed footprint joins the fence like
-                // any other, keeping later checks sound).
-                let mut fence_colors: BTreeSet<CloudColor> = BTreeSet::new();
-                let mut fence_nodes: BTreeSet<NodeId> = BTreeSet::new();
-                for (i, input) in inputs.iter().enumerate() {
-                    let speculative = slots[i].take();
-                    let outcome = match speculative {
-                        Some(o) if !o.conflicts_with(&fence_colors, &fence_nodes) => o,
-                        _ => {
-                            hook::instant(
-                                &self.tracer,
-                                Layer::Planner,
-                                "plan.replay",
-                                seq,
-                                i as u64,
-                            );
-                            let mut replay = CompShard::new(
-                                &*self,
-                                derive_seed(batch_seed, SEED_COMPONENT, i as u64),
-                                bases[i],
-                                input.color_bound(),
-                            );
-                            shard::heal_component(&mut replay, input);
-                            replay.into_outcome()
-                        }
-                    };
-                    fence_colors.extend(outcome.touched_colors.iter().copied());
-                    fence_nodes.extend(outcome.touched_nodes.iter().copied());
-                    self.commit_component(outcome);
-                    checkpoints.push(self.actions.len());
-                }
-            }
+        let mut base = self.next_color;
+        for (i, input) in inputs.iter().enumerate() {
+            hook::begin(
+                &self.tracer,
+                Layer::Planner,
+                "plan.component",
+                seq,
+                i as u64,
+            );
+            let derived = StdRng::seed_from_u64(derive_seed(batch_seed, SEED_COMPONENT, i as u64));
+            let saved = std::mem::replace(&mut self.rng, derived);
+            let end = base + input.color_bound();
+            self.next_color = base;
+            self.heal_component(input);
+            assert!(
+                self.next_color <= end,
+                "component overran its color namespace"
+            );
+            self.rng = saved;
+            base = end;
+            checkpoints.push(self.actions.len());
+            hook::end(
+                &self.tracer,
+                Layer::Planner,
+                "plan.component",
+                seq,
+                i as u64,
+            );
         }
         hook::end(&self.tracer, Layer::Planner, "plan.components", seq, 0);
-        self.next_color = color_end;
+        self.next_color = base;
 
         self.stats.deletions += ctx.len();
         self.stats.black_degree_sum += ctx.iter().map(|bv| bv.black_boundary.len()).sum::<usize>();
@@ -743,164 +684,38 @@ impl RepairPlanner {
         BatchRepairPlan { stages, report }
     }
 
-    /// Detaches the victims of one cloud sequentially (same derived RNG the
-    /// parallel path uses).
+    /// Detaches several (already graph-removed) victims from one cloud with
+    /// the cloud's derived RNG, emitting only the *net* edge delta:
+    /// intermediate expander rebuilds may transiently reference other
+    /// still-registered victims, but the final edge set only spans live
+    /// members.
     fn detach_one(&mut self, color: CloudColor, victims: &[NodeId], batch_seed: u64) {
-        let Some(mut cloud) = self.clouds.remove(&color) else {
+        let Some(cloud) = self.clouds.get_mut(&color) else {
             return;
         };
         let mut rng = StdRng::seed_from_u64(derive_seed(batch_seed, SEED_DETACH, color.as_u64()));
-        let (action, emptied) = detach_cloud(color, &mut cloud, victims, &mut rng);
-        self.finish_detach(color, cloud, action, emptied);
-    }
-
-    /// Fans the per-cloud detach tasks out over `pool`, merging results back
-    /// in ascending color order. Clouds are moved out of the registry for
-    /// the duration, so tasks share nothing.
-    fn detach_parallel(
-        &mut self,
-        by_cloud: &BTreeMap<CloudColor, Vec<NodeId>>,
-        batch_seed: u64,
-        pool: &WorkerPool,
-        seq: u64,
-    ) {
-        let mut tasks: Vec<(CloudColor, Cloud, &[NodeId])> = Vec::with_capacity(by_cloud.len());
-        for (&c, vs) in by_cloud {
-            if let Some(cloud) = self.clouds.remove(&c) {
-                tasks.push((c, cloud, vs.as_slice()));
+        let before = cloud.expander().edges().to_vec();
+        let mut detached = Vec::new();
+        for &v in victims {
+            if cloud.expander().contains(v) {
+                let _ = cloud.expander_mut().remove(v, &mut rng);
+                cloud.free_members_mut().remove(&v);
+                detached.push(v);
             }
         }
-        let tracer = &self.tracer;
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.scope(|scope| {
-            for (i, (c, mut cloud, vs)) in tasks.into_iter().enumerate() {
-                let tx = tx.clone();
-                let seed = derive_seed(batch_seed, SEED_DETACH, c.as_u64());
-                // Lanes key on *task* identity (the deterministic merge
-                // index), never on thread id, so the recorded tree is
-                // identical at every thread count.
-                let lane = i as u64 + 1;
-                scope.spawn(move || {
-                    hook::begin_lane(tracer, lane, Layer::Planner, "spec.detach", seq, c.as_u64());
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let (action, emptied) = detach_cloud(c, &mut cloud, vs, &mut rng);
-                    hook::end_lane(tracer, lane, Layer::Planner, "spec.detach", seq, c.as_u64());
-                    let _ = tx.send((i, c, cloud, action, emptied));
-                });
-            }
-        });
-        drop(tx);
-        let mut results: Vec<(usize, CloudColor, Cloud, Option<PlanAction>, bool)> =
-            rx.try_iter().collect();
-        results.sort_unstable_by_key(|r| r.0);
-        for (_, c, cloud, action, emptied) in results {
-            self.finish_detach(c, cloud, action, emptied);
-        }
-    }
-
-    /// Reinstates (or retires) a detached cloud and records its net patch.
-    fn finish_detach(
-        &mut self,
-        color: CloudColor,
-        cloud: Cloud,
-        action: Option<PlanAction>,
-        emptied: bool,
-    ) {
-        if let Some(action) = action {
-            self.emit(action);
+        let emptied = cloud.is_empty();
+        if !detached.is_empty() {
+            // Both snapshots are sorted, so the net delta is one merge walk.
+            let delta = EdgeDelta::between(&before, cloud.expander().edges());
+            self.emit(PlanAction::PatchCloud {
+                color,
+                removed: detached,
+                delta,
+            });
         }
         if emptied {
-            if let Ok(pos) = self.color_order.binary_search(&color) {
-                self.color_order.remove(pos);
-            }
-        } else {
-            self.clouds.insert(color, cloud);
+            self.registry_remove(color);
         }
-    }
-
-    /// Runs every component speculatively against the current (post-detach)
-    /// state, returning outcomes indexed by component.
-    fn speculate_components(
-        &self,
-        inputs: &[ComponentInput],
-        bases: &[u64],
-        batch_seed: u64,
-        pool: &WorkerPool,
-        seq: u64,
-    ) -> Vec<Option<CompOutcome>> {
-        let mut slots: Vec<Option<CompOutcome>> = Vec::with_capacity(inputs.len());
-        slots.resize_with(inputs.len(), || None);
-        let base: &RepairPlanner = self;
-        let tracer = &self.tracer;
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.scope(|scope| {
-            for (i, input) in inputs.iter().enumerate() {
-                let tx = tx.clone();
-                let seed = derive_seed(batch_seed, SEED_COMPONENT, i as u64);
-                let color_base = bases[i];
-                // Lane = component index, so the speculation spans land in
-                // the same slot whichever worker picks the task up.
-                let lane = i as u64 + 1;
-                scope.spawn(move || {
-                    hook::begin_lane(
-                        tracer,
-                        lane,
-                        Layer::Planner,
-                        "spec.component",
-                        seq,
-                        i as u64,
-                    );
-                    let mut sh = CompShard::new(base, seed, color_base, input.color_bound());
-                    shard::heal_component(&mut sh, input);
-                    hook::end_lane(
-                        tracer,
-                        lane,
-                        Layer::Planner,
-                        "spec.component",
-                        seq,
-                        i as u64,
-                    );
-                    let _ = tx.send((i, sh.into_outcome()));
-                });
-            }
-        });
-        drop(tx);
-        for (i, outcome) in rx.try_iter() {
-            slots[i] = Some(outcome);
-        }
-        slots
-    }
-
-    /// Applies one component's overlay outcome to the planner in one pass.
-    fn commit_component(&mut self, outcome: CompOutcome) {
-        for (c, entry) in outcome.clouds {
-            match entry {
-                None => {
-                    self.registry_remove(c);
-                }
-                Some(cloud) => {
-                    if self.clouds.insert(c, cloud).is_none() {
-                        self.register_color(c);
-                    }
-                }
-            }
-        }
-        for (v, st) in outcome.nodes {
-            self.nodes.insert(v, st);
-        }
-        for (p, m) in outcome.attached {
-            if m.is_empty() {
-                self.attached_to.remove(&p);
-            } else {
-                self.attached_to.insert(p, m);
-            }
-        }
-        self.actions.extend(outcome.actions);
-        self.op_added += outcome.op_added;
-        self.op_removed += outcome.op_removed;
-        self.op_shares += outcome.op_shares;
-        self.op_combines += outcome.op_combines;
-        self.stats.secondaries_built += outcome.secondaries_built;
     }
 
     /// Removes the attachment entry of a deleted bridge, returning the
@@ -926,152 +741,6 @@ fn case_code(case: HealCase) -> u64 {
         HealCase::PrimaryOnly => 2,
         HealCase::Bridge => 3,
         HealCase::Batch => 4,
-    }
-}
-
-/// Detaches several (already graph-removed) victims from one cloud, applying
-/// only the *net* edge delta — intermediate expander rebuilds may transiently
-/// reference other still-registered victims, but the final edge set only
-/// spans live members. Pure in the cloud + RNG, so the parallel prologue can
-/// run it shared-nothing.
-fn detach_cloud(
-    color: CloudColor,
-    cloud: &mut Cloud,
-    victims: &[NodeId],
-    rng: &mut StdRng,
-) -> (Option<PlanAction>, bool) {
-    let before = cloud.expander().edges().to_vec();
-    let mut detached = Vec::new();
-    for &v in victims {
-        if cloud.expander().contains(v) {
-            let _ = cloud.expander_mut().remove(v, rng);
-            cloud.free_members_mut().remove(&v);
-            detached.push(v);
-        }
-    }
-    if detached.is_empty() {
-        return (None, cloud.is_empty());
-    }
-    // Both snapshots are sorted, so the net delta is one merge walk (same
-    // ascending order the former set-difference produced).
-    let delta = EdgeDelta::between(&before, cloud.expander().edges());
-    (
-        Some(PlanAction::PatchCloud {
-            color,
-            removed: detached,
-            delta,
-        }),
-        cloud.is_empty(),
-    )
-}
-
-/// The direct store: the planner itself, with zero indirection overhead.
-/// Reads record nothing (there is no speculation to conflict with) and
-/// writes go straight to the registry.
-impl PlanStore for RepairPlanner {
-    fn config(&self) -> &XhealConfig {
-        &self.config
-    }
-
-    fn contains_cloud(&mut self, c: CloudColor) -> bool {
-        self.clouds.contains_key(&c)
-    }
-
-    fn cloud_ref(&mut self, c: CloudColor) -> Option<&Cloud> {
-        self.clouds.get(&c)
-    }
-
-    fn cloud_mut(&mut self, c: CloudColor) -> Option<&mut Cloud> {
-        self.clouds.get_mut(&c)
-    }
-
-    fn insert_cloud(&mut self, c: CloudColor, cloud: Cloud) {
-        self.registry_insert(c, cloud);
-    }
-
-    fn remove_cloud(&mut self, c: CloudColor) -> Option<Cloud> {
-        self.registry_remove(c)
-    }
-
-    fn node_ref(&mut self, v: NodeId) -> Option<&NodeState> {
-        self.nodes.get(&v)
-    }
-
-    fn node_mut(&mut self, v: NodeId) -> Option<&mut NodeState> {
-        self.nodes.get_mut(&v)
-    }
-
-    fn attach_inc(&mut self, p: CloudColor, f: CloudColor) {
-        *self.attached_to.entry(p).or_default().entry(f).or_insert(0) += 1;
-    }
-
-    fn attach_dec(&mut self, p: CloudColor, f: CloudColor) {
-        let Some(m) = self.attached_to.get_mut(&p) else {
-            debug_assert!(false, "attachment index missing primary {p}");
-            return;
-        };
-        match m.get_mut(&f) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                m.remove(&f);
-                if m.is_empty() {
-                    self.attached_to.remove(&p);
-                }
-            }
-            None => debug_assert!(false, "attachment index missing ({p},{f})"),
-        }
-    }
-
-    fn attached_secondaries_into(&mut self, p: CloudColor, out: &mut BTreeSet<CloudColor>) {
-        if let Some(m) = self.attached_to.get(&p) {
-            out.extend(m.keys().copied());
-        }
-    }
-
-    fn fresh_color(&mut self) -> CloudColor {
-        let c = CloudColor::new(self.next_color);
-        self.next_color += 1;
-        c
-    }
-
-    fn build_expander(
-        &mut self,
-        members: &[NodeId],
-    ) -> (MaintainedExpander, Vec<(NodeId, NodeId)>) {
-        MaintainedExpander::new(members, self.config.kappa, &mut self.rng)
-    }
-
-    fn expander_insert(&mut self, c: CloudColor, v: NodeId) -> EdgeDelta {
-        let cloud = self.clouds.get_mut(&c).expect("cloud alive");
-        cloud.expander_mut().insert(v, &mut self.rng)
-    }
-
-    fn prepare_free_reads(&mut self, _colors: &[CloudColor]) {}
-
-    fn free_set(&self, c: CloudColor) -> &BTreeSet<NodeId> {
-        self.clouds
-            .get(&c)
-            .map(Cloud::free_members)
-            .unwrap_or(&EMPTY_FREE)
-    }
-
-    fn emit(&mut self, action: PlanAction) {
-        let delta = action.delta();
-        self.op_added += delta.added.len();
-        self.op_removed += delta.removed.len();
-        self.actions.push(action);
-    }
-
-    fn note_share(&mut self) {
-        self.op_shares += 1;
-    }
-
-    fn note_combine(&mut self) {
-        self.op_combines += 1;
-    }
-
-    fn note_secondary_built(&mut self) {
-        self.stats.secondaries_built += 1;
     }
 }
 
@@ -1184,42 +853,5 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, derive_seed(s, SEED_DETACH, 0), "pure function");
-    }
-
-    #[test]
-    fn parallel_batch_plan_matches_sequential() {
-        use xheal_graph::generators;
-        let mut gen_rng = StdRng::seed_from_u64(7);
-        let g = generators::erdos_renyi(200, 0.04, &mut gen_rng);
-        let mut seq = RepairPlanner::new(g.nodes(), XhealConfig::new(4).with_seed(3));
-        let mut par = seq.clone();
-        let pool = WorkerPool::new(4);
-
-        // A few rounds so later batches hit colored state.
-        let mut graph_a = g.clone();
-        let mut graph_b = g.clone();
-        for round in 0..6 {
-            let victims: Vec<NodeId> = graph_a
-                .nodes()
-                .filter(|v| (v.as_u64() + round) % 17 == 0)
-                .take(8)
-                .collect();
-            let ctx = BatchVictim::capture(&graph_a, &victims).unwrap();
-            for &v in &victims {
-                let _ = graph_a.remove_node(v);
-                let _ = graph_b.remove_node(v);
-            }
-            let plan_seq = seq.plan_batch_deletion(&ctx);
-            let plan_par = par.plan_batch_deletion_parallel(&ctx, &pool);
-            assert_eq!(plan_seq.stages.len(), plan_par.stages.len());
-            for (a, b) in plan_seq.stages.iter().zip(plan_par.stages.iter()) {
-                assert_eq!(a.component, b.component);
-                assert_eq!(a.actions, b.actions);
-            }
-            plan_seq.apply_to(&mut graph_a);
-            plan_par.apply_to(&mut graph_b);
-        }
-        assert_eq!(seq.cloud_colors(), par.cloud_colors());
-        assert_eq!(seq.stats(), par.stats());
     }
 }

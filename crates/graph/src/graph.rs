@@ -660,9 +660,9 @@ impl Graph {
     /// Order-sensitive hash over the full [`Graph::edges`] enumeration
     /// (endpoints, black flag, cloud colors): equal fingerprints mean
     /// identical topology *and* identical iteration order. This is the
-    /// determinism witness used by the bench harness and the parallel
-    /// executor's cross-validation — the seed representation computes the
-    /// same value over the same enumeration order.
+    /// determinism witness used by the bench harness and the golden
+    /// decision pin — the seed representation computes the same value over
+    /// the same enumeration order.
     pub fn edge_fingerprint(&self) -> u64 {
         fingerprint_edges(self.edges())
     }

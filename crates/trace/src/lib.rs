@@ -62,7 +62,7 @@ pub use metrics::{CounterId, GaugeId, HistId, MetricsFrame, MetricsRegistry};
 pub enum Layer {
     /// `RepairPlanner` decision phases.
     Planner,
-    /// Healing engines (Xheal, ParallelXheal, DistXheal, DEX, baselines).
+    /// Healing engines (Xheal, DistXheal, DEX, baselines).
     Executor,
     /// The distributed actor protocol (per-repair message rounds).
     Protocol,
@@ -185,8 +185,8 @@ pub struct Tracer {
 }
 
 /// The shared handle engines hold: `Arc<Mutex<Tracer>>`, so one tracer can
-/// observe an engine, its planner, its transport, and its monitor at once —
-/// including from `xheal-pool` worker threads.
+/// observe an engine, its planner, its transport, and its monitor at once,
+/// from any thread.
 pub type SharedTracer = Arc<Mutex<Tracer>>;
 
 impl Tracer {
@@ -356,8 +356,8 @@ impl Tracer {
     /// whose `Begin` was overwritten by ring wraparound are dropped, so the
     /// tree is always balanced.
     ///
-    /// Two runs with identical seeds — at any `xheal-pool` thread count —
-    /// produce equal trees.
+    /// Two runs with identical seeds produce equal trees, however their
+    /// lanes interleaved in time.
     pub fn span_tree(&self) -> Vec<TreeEvent> {
         let mut out = Vec::with_capacity(self.ring.len());
         let mut depth: BTreeMap<u64, u32> = BTreeMap::new();

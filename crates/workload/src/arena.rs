@@ -3,7 +3,7 @@
 //!
 //! The `HealingEngine` trait plus the seeded [`Adversary`] strategies make a
 //! cross-algorithm shoot-out nearly free to wire: build a fresh engine of
-//! every flavor over one initial graph ([`standard_registry`] knows all ten),
+//! every flavor over one initial graph ([`standard_registry`] knows all nine),
 //! drive each through the same seeded schedules ([`ArenaSchedule::standard`]
 //! gives uniform churn, clustered bursts, and insert-heavy growth), and
 //! score each run with an [`ArenaScorer`] — `xheal-monitor` implements one
@@ -24,9 +24,9 @@
 //!   burst cadence and seeds stay fixed.
 //! - Reference-relative metrics (degree increase, stretch) are scored
 //!   against each engine's own reference graph: the engine's graph at
-//!   attach time plus black insertion edges. For nine engines that is the
-//!   shared `G'`; DEX rebuilds topology at construction, so its reference
-//!   is its own bootstrap projection.
+//!   attach time plus black insertion edges. For every engine but DEX that
+//!   is the shared `G'`; DEX rebuilds topology at construction, so its
+//!   reference is its own bootstrap projection.
 //!
 //! # Examples
 //!
@@ -357,10 +357,10 @@ where
     }
 }
 
-/// All ten engines of the workspace, keyed distinctly:
+/// All nine engines of the workspace, keyed distinctly:
 ///
 /// `binary-tree-heal`, `cycle-heal`, `dex`, `forgiving-like`, `no-heal`,
-/// `star-heal`, `xheal`, `xheal-dist-async`, `xheal-dist-sync`, `xheal-par`.
+/// `star-heal`, `xheal`, `xheal-dist-async`, `xheal-dist-sync`.
 ///
 /// `kappa` parameterizes the Xheal family; seeds are passed through from the
 /// arena. The async distributed engine runs uniform 1–3 tick latency seeded
@@ -369,9 +369,6 @@ pub fn standard_registry(kappa: usize) -> EngineRegistry {
     let mut reg = EngineRegistry::new();
     reg.register("xheal", move |g, s| {
         Box::new(Xheal::builder().kappa(kappa).seed(s).build(g))
-    });
-    reg.register("xheal-par", move |g, s| {
-        Box::new(Xheal::builder().kappa(kappa).seed(s).build_parallel(g, 2))
     });
     reg.register("xheal-dist-sync", move |g, s| {
         Box::new(DistXheal::builder().kappa(kappa).seed(s).build(g))
@@ -408,7 +405,7 @@ mod tests {
     use xheal_graph::generators;
 
     #[test]
-    fn standard_registry_has_all_ten_engines() {
+    fn standard_registry_lists_every_engine() {
         let reg = standard_registry(4);
         assert_eq!(
             reg.keys(),
@@ -422,7 +419,6 @@ mod tests {
                 "xheal",
                 "xheal-dist-async",
                 "xheal-dist-sync",
-                "xheal-par",
             ]
         );
     }
@@ -433,9 +429,9 @@ mod tests {
         let reg = standard_registry(4);
         let schedules = ArenaSchedule::standard(10);
         let matrix = run_arena(&reg, &schedules, &g0, 99, |_, _, _| NoScorer);
-        assert_eq!(matrix.cells.len(), 30);
+        assert_eq!(matrix.cells.len(), 27);
         assert!(matrix.is_complete());
-        assert_eq!(matrix.engines().len(), 10);
+        assert_eq!(matrix.engines().len(), 9);
         assert_eq!(
             matrix.schedules(),
             ["uniform-churn", "clustered-bursts", "insert-heavy"]

@@ -1,7 +1,7 @@
-//! Ten engines, one schedule set, one scoreboard.
+//! Nine engines, one schedule set, one scoreboard.
 //!
 //! Drives every engine in `xheal_workload::standard_registry` — Xheal in
-//! all four flavors, DEX, and the five baselines — through the three
+//! its three flavors, DEX, and the five baselines — through the three
 //! standard seeded adversary schedules, scoring each run live with a
 //! subscribed `xheal_monitor::Monitor`, and prints the trade-off matrix.
 //! This is the example-sized version of the `arena` bench binary that

@@ -1,5 +1,5 @@
 //! Cross-crate arena integration: DEX invariants under arbitrary churn
-//! (property tests) and the ten-engine arena harness end to end, including
+//! (property tests) and the nine-engine arena harness end to end, including
 //! a monitor-backed scorer so every engine's delta stream is checked in
 //! debug mode.
 
@@ -195,18 +195,18 @@ impl ArenaScorer for MonitorScorer {
     }
 }
 
-/// The full ten-engine arena with the dependency-free scorer: every cell
+/// The full nine-engine arena with the dependency-free scorer: every cell
 /// present, every engine driven through every schedule.
 #[test]
-fn arena_covers_ten_engines_by_three_schedules() {
+fn arena_covers_every_engine_by_three_schedules() {
     let g0 = generators::ring_with_chords(28);
     let reg = standard_registry(4);
     let matrix = run_arena(&reg, &ArenaSchedule::standard(15), &g0, 11, |_, _, _| {
         NoScorer
     });
     assert!(matrix.is_complete());
-    assert_eq!(matrix.cells.len(), 30);
-    assert_eq!(matrix.engines().len(), 10);
+    assert_eq!(matrix.cells.len(), 27);
+    assert_eq!(matrix.engines().len(), 9);
     assert_eq!(matrix.schedules().len(), 3);
 }
 
@@ -241,27 +241,118 @@ fn monitor_scored_arena_is_consistent_for_every_engine() {
     }
 }
 
-/// Every engine of the standard registry rejects a burst that names one
-/// victim twice with `DuplicateVictim`, atomically: the graph is untouched
-/// and the same burst without the repeat then applies.
+/// What a hostile or edge-case event must do to every engine.
+enum Expect {
+    /// Applies, changing the node count by this much.
+    Ok(isize),
+    /// Applies and lands on exactly the graph this twin event produces on a
+    /// fresh engine.
+    Like(Event),
+    /// Rejects with exactly this error, leaving the state untouched.
+    Err(HealError),
+}
+
+/// The hostile-event conformance matrix: every `standard_registry` engine
+/// gets every malformed or edge-case event on a fresh 20-node overlay. An
+/// `Err` must be the expected one and leave the fingerprint and node count
+/// unchanged; an `Ok` must have the expected effect. Either way nothing
+/// panics and the engine stays usable: a valid two-victim burst applies
+/// afterwards.
 #[test]
-fn every_engine_rejects_duplicate_batch_victims() {
+fn every_engine_rejects_hostile_events_atomically() {
     let g0 = generators::ring_with_chords(20);
     let reg = standard_registry(4);
     let [a, b] = [NodeId::new(3), NodeId::new(5)];
-    for (key, mut engine) in reg.build_all(&g0, 7) {
-        let before = engine.graph().edge_fingerprint();
-        let err = engine
-            .apply(&Event::DeleteBatch {
+    let fresh = NodeId::new(100);
+    let missing = NodeId::new(999);
+    let insert = |neighbors: Vec<NodeId>| Event::Insert {
+        node: fresh,
+        neighbors,
+    };
+    let cases: Vec<(&str, Event, Expect)> = vec![
+        (
+            "insert, duplicate neighbour",
+            insert(vec![NodeId::new(1), NodeId::new(1)]),
+            // The repeat collapses: one edge, as if listed once.
+            Expect::Like(insert(vec![NodeId::new(1)])),
+        ),
+        (
+            "insert listing itself",
+            insert(vec![fresh]),
+            Expect::Err(HealError::NeighborMissing(fresh)),
+        ),
+        (
+            "insert, missing neighbour",
+            insert(vec![NodeId::new(1), missing]),
+            Expect::Err(HealError::NeighborMissing(missing)),
+        ),
+        (
+            "insert, existing node",
+            Event::Insert {
+                node: a,
+                neighbors: vec![NodeId::new(1)],
+            },
+            Expect::Err(HealError::NodeExists(a)),
+        ),
+        ("insert, no neighbours", insert(Vec::new()), Expect::Ok(1)),
+        (
+            "delete, missing node",
+            Event::Delete { node: missing },
+            Expect::Err(HealError::NodeMissing(missing)),
+        ),
+        (
+            "batch with a missing victim",
+            Event::DeleteBatch {
+                nodes: vec![a, missing],
+            },
+            Expect::Err(HealError::NodeMissing(missing)),
+        ),
+        (
+            "batch with a duplicate victim",
+            Event::DeleteBatch {
                 nodes: vec![a, b, a],
-            })
-            .unwrap_err();
-        assert_eq!(err, HealError::DuplicateVictim(a), "{key}");
-        assert_eq!(engine.graph().edge_fingerprint(), before, "{key}");
-        assert_eq!(engine.graph().node_count(), 20, "{key}");
-        engine
-            .apply(&Event::DeleteBatch { nodes: vec![a, b] })
-            .unwrap_or_else(|e| panic!("{key}: {e}"));
-        assert_eq!(engine.graph().node_count(), 18, "{key}");
+            },
+            Expect::Err(HealError::DuplicateVictim(a)),
+        ),
+        (
+            "empty batch",
+            Event::DeleteBatch { nodes: Vec::new() },
+            Expect::Ok(0),
+        ),
+    ];
+    let keys = reg.keys();
+    for (case, event, expect) in &cases {
+        for key in &keys {
+            let mut engine = reg.build(key, &g0, 7).expect("registered key");
+            let before = engine.graph().edge_fingerprint();
+            let n = engine.graph().node_count();
+            let result = engine.apply(event);
+            match expect {
+                Expect::Ok(grown) => {
+                    result.unwrap_or_else(|e| panic!("{key}, {case}: {e}"));
+                    let after = engine.graph().node_count() as isize;
+                    assert_eq!(after - n as isize, *grown, "{key}, {case}");
+                    if *grown == 0 {
+                        assert_eq!(engine.graph().edge_fingerprint(), before, "{key}, {case}");
+                    }
+                }
+                Expect::Like(twin) => {
+                    result.unwrap_or_else(|e| panic!("{key}, {case}: {e}"));
+                    let mut reference = reg.build(key, &g0, 7).expect("registered key");
+                    reference.apply(twin).expect("the twin event is valid");
+                    assert_eq!(engine.graph(), reference.graph(), "{key}, {case}");
+                }
+                Expect::Err(err) => {
+                    assert_eq!(result.err().as_ref(), Some(err), "{key}, {case}");
+                    assert_eq!(engine.graph().edge_fingerprint(), before, "{key}, {case}");
+                    assert_eq!(engine.graph().node_count(), n, "{key}, {case}");
+                }
+            }
+            let n = engine.graph().node_count();
+            engine
+                .apply(&Event::DeleteBatch { nodes: vec![a, b] })
+                .unwrap_or_else(|e| panic!("{key}, after {case}: {e}"));
+            assert_eq!(engine.graph().node_count(), n - 2, "{key}, after {case}");
+        }
     }
 }

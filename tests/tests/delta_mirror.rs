@@ -1,8 +1,8 @@
 //! The subscription layer's consistency proof: replaying the
 //! [`TopologyDelta`] stream into a [`DeltaMirror`] reproduces the engine's
 //! graph exactly — after **every** event — under arbitrary mixed
-//! insert/delete/batch churn, for the centralized executor, both
-//! distributed engines, and the component-parallel executor.
+//! insert/delete/batch churn, for the centralized executor and both
+//! distributed engines.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,7 +26,7 @@ fn engine_with_mirror(
     let engine: Box<dyn HealingEngine> = match kind {
         0 => Box::new(Xheal::builder().config(cfg).sink(sink).build(g0)),
         1 => Box::new(DistXheal::builder().config(cfg).sink(sink).build(g0)),
-        2 => Box::new(
+        _ => Box::new(
             DistXheal::builder()
                 .config(cfg)
                 .sink(sink)
@@ -36,15 +36,6 @@ fn engine_with_mirror(
                     AsyncConfig::uniform(1, 3, 23).with_jitter(1),
                 ))
                 .build(g0),
-        ),
-        // Component-parallel batches: speculation and replay happen in
-        // planner shards; the delta stream the mirror consumes is merged
-        // in repair-seq order, identical to the sequential engine's.
-        _ => Box::new(
-            Xheal::builder()
-                .config(cfg)
-                .sink(sink)
-                .build_parallel(g0, 2),
         ),
     };
     (engine, mirror)
@@ -101,7 +92,7 @@ proptest! {
 
         // Record the schedule once (the event choice depends only on the
         // graph, which is bit-identical across engines).
-        for kind in 0..4usize {
+        for kind in 0..3usize {
             let (mut engine, mirror) = engine_with_mirror(kind, &g0, cfg.clone());
             let mut adv_rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
             let mut next_id = 10_000u64;

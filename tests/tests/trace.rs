@@ -1,18 +1,16 @@
 //! Trace determinism: the span-tree projection (`Tracer::span_tree`) is a
 //! pure function of the seed — identical seeds produce identical trees for
-//! the centralized engine, the distributed protocol stack, and the
-//! component-parallel executor at every thread count — plus the chrome
-//! exporter's balance invariant and the ledger/counter cross-check.
+//! the distributed protocol stack — plus the chrome exporter's balance
+//! invariant and the ledger/counter cross-check.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use xheal_core::{Event, HealingEngine, ParallelXheal, Xheal, XhealConfig};
+use xheal_core::{Event, HealingEngine, Xheal, XhealConfig};
 use xheal_dist::DistXheal;
 use xheal_graph::{generators, NodeId};
 use xheal_trace::{hook, EvKind, Layer, Tracer, TreeEvent};
 
 const KAPPA: usize = 4;
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// A seeded churn schedule over a ring-with-chords overlay: `singles`
 /// single deletions then one clustered batch of `batch` victims.
@@ -52,21 +50,6 @@ fn dist_tree(n: usize, seed: u64, singles: usize, batch: usize) -> Vec<TreeEvent
     tree
 }
 
-/// Runs the component-parallel executor at `threads` and returns the tree.
-fn parallel_tree(n: usize, seed: u64, threads: usize) -> Vec<TreeEvent> {
-    let tracer = Tracer::shared(1 << 14);
-    let g0 = generators::ring_with_chords(n);
-    let mut eng = ParallelXheal::new(&g0, XhealConfig::new(KAPPA).with_seed(seed), threads);
-    eng.set_tracer(Some(tracer.clone()));
-    let (victims, batched) = schedule(n, seed, 4, 8);
-    for v in victims {
-        eng.heal_delete(v).expect("victim is live");
-    }
-    eng.heal_delete_batch(&batched).expect("victims are live");
-    let tree = hook::lock(&tracer).span_tree();
-    tree
-}
-
 /// Layers present in a tree (the acceptance surface: a healed distributed
 /// run shows planner, protocol, and transport; adding any executor-layer
 /// source pushes past the four-layer floor).
@@ -94,21 +77,6 @@ fn different_seeds_differ() {
     // Sanity: the tree is not a constant — the determinism assertions
     // above would pass vacuously if it were.
     assert_ne!(dist_tree(96, 23, 8, 6), dist_tree(96, 24, 8, 6));
-}
-
-#[test]
-fn thread_count_does_not_change_the_tree() {
-    let reference = parallel_tree(96, 5, THREADS[0]);
-    assert!(!reference.is_empty());
-    // The batch fans per-component speculation out on worker lanes; the
-    // merged tree must still be schedule-independent.
-    assert!(
-        reference.iter().any(|e| e.lane != 0),
-        "no worker lanes traced"
-    );
-    for &t in &THREADS[1..] {
-        assert_eq!(reference, parallel_tree(96, 5, t), "threads = {t}");
-    }
 }
 
 #[test]
@@ -155,16 +123,5 @@ proptest! {
             dist_tree(n, seed, singles, batch),
             dist_tree(n, seed, singles, batch)
         );
-    }
-
-    /// The parallel executor's tree is invariant across thread counts for
-    /// arbitrary seeds (lanes are keyed on task identity, not thread id).
-    #[test]
-    fn prop_parallel_trees_thread_invariant(seed in 0u64..1_000_000) {
-        let reference = parallel_tree(72, seed, 1);
-        for &t in &[2usize, 8] {
-            let tree = parallel_tree(72, seed, t);
-            prop_assert!(reference == tree, "tree differs at threads = {}", t);
-        }
     }
 }

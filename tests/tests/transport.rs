@@ -3,16 +3,15 @@
 //! PR 8 rewrote `xheal-sim`'s internals (calendar-wheel scheduling, flat
 //! mailbox arena); the in-crate property tests pin the new scheduler
 //! bit-identical to the old heap against a `#[cfg(test)]` oracle. This
-//! suite closes the loop one level up: all four Xheal executors —
-//! sequential `Xheal`, component-parallel `ParallelXheal`, and `DistXheal`
-//! over both the synchronous and the asynchronous engine — replay
-//! identical schedules over the new transport and land on bit-identical
-//! topologies, and the engines' per-kind send tally conserves messages
+//! suite closes the loop one level up: four Xheal executors — sequential
+//! `Xheal`, `DistXheal` over the synchronous engine, and `DistXheal` over
+//! the asynchronous engine at zero and at real latency — replay identical
+//! schedules over the new transport and land on bit-identical topologies, and the engines' per-kind send tally conserves messages
 //! (sent = delivered + dropped once the protocol quiesces).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use xheal_core::{HealingEngine, ParallelXheal, Xheal, XhealConfig};
+use xheal_core::{HealingEngine, Xheal, XhealConfig};
 use xheal_dist::{DistXheal, Msg};
 use xheal_graph::{components, generators};
 use xheal_sim::{AsyncConfig, AsyncNetwork};
@@ -42,7 +41,6 @@ proptest! {
         let summary = run(&mut central, &mut adv, steps, seed ^ 0x77);
 
         let mut executors: Vec<(&str, Box<dyn HealingEngine>)> = vec![
-            ("parallel", Box::new(ParallelXheal::new(&g0, cfg.clone(), 4))),
             ("dist-sync", Box::new(DistXheal::new(&g0, cfg.clone()))),
             (
                 "dist-async-zero",
