@@ -495,75 +495,6 @@ fn measure_grouped_pair(g0: &Graph, deletes: usize, trials: usize) -> (String, f
     (json, uniform_speedup, clustered_speedup, grouped_allocs)
 }
 
-/// The memory-level-parallelism probe: one 64-bit-index pointer-chase ring
-/// (a Sattolo single-cycle permutation), walked two ways over the same
-/// total loads — a single dependent chain (each load's address depends on
-/// the previous load, so the memory system sees one outstanding miss) and
-/// `MLP_LANES` interleaved independent chains (the batched pointer-chase,
-/// many outstanding misses). The ratio is how much latency the dependent
-/// walk leaves on the table — the headroom grouped application harvests.
-struct MlpProbe {
-    elements: usize,
-    lanes: usize,
-    loads: usize,
-    dependent_ns_per_load: f64,
-    batched_ns_per_load: f64,
-    ratio: f64,
-}
-
-const MLP_LANES: usize = 16;
-
-fn run_mlp_probe(elements: usize) -> MlpProbe {
-    assert!(elements >= MLP_LANES * 2 && elements.is_power_of_two());
-    let mut next: Vec<u32> = (0..elements as u32).collect();
-    let mut rng = StdRng::seed_from_u64(0x4D4C_5042);
-    // Sattolo's algorithm: a uniform single-cycle permutation, so every
-    // walk visits all elements and never shortcuts.
-    for i in (1..elements).rev() {
-        let j = rng.random_range(0..i);
-        next.swap(i, j);
-    }
-    let loads = elements - (elements % MLP_LANES);
-
-    // Dependent chain: one pointer, `loads` serial cache misses.
-    let t = Instant::now();
-    let mut p = 0u32;
-    for _ in 0..loads {
-        p = next[p as usize];
-    }
-    std::hint::black_box(p);
-    let dependent_ns = t.elapsed().as_nanos() as f64;
-
-    // Batched: MLP_LANES independent pointers advanced round-robin — the
-    // same total loads, but the memory system overlaps them.
-    let mut ptrs = [0u32; MLP_LANES];
-    for (k, ptr) in ptrs.iter_mut().enumerate() {
-        *ptr = (k * (elements / MLP_LANES)) as u32;
-    }
-    let t = Instant::now();
-    for _ in 0..loads / MLP_LANES {
-        for ptr in &mut ptrs {
-            *ptr = next[*ptr as usize];
-        }
-    }
-    std::hint::black_box(ptrs);
-    let batched_ns = t.elapsed().as_nanos() as f64;
-
-    let probe = MlpProbe {
-        elements,
-        lanes: MLP_LANES,
-        loads,
-        dependent_ns_per_load: dependent_ns / loads as f64,
-        batched_ns_per_load: batched_ns / loads as f64,
-        ratio: dependent_ns / batched_ns.max(1.0),
-    };
-    eprintln!(
-        "[mlp] {} elements: dependent {:.2} ns/load vs batched {:.2} ns/load ({:.2}x)",
-        probe.elements, probe.dependent_ns_per_load, probe.batched_ns_per_load, probe.ratio
-    );
-    probe
-}
-
 fn ratio(seed_ns: u64, arena_ns: u64) -> f64 {
     seed_ns as f64 / arena_ns.max(1) as f64
 }
@@ -741,18 +672,15 @@ fn main() {
 
     // Arena-only rows (n, deletes): the seed backend is infeasible here, so
     // only the arena hot path runs. Full mode records the 1M-node row plus
-    // an 8M-node row whose slot arena (~1.6 GB) overflows even this host's
-    // 260 MB L3 — the only regime on this machine where delta application
-    // is genuinely DRAM-latency-bound. Smoke keeps a liveness-sized row.
+    // an 8M-node row whose slot arena (~2 GB) overflows any LLC, so both
+    // application paths run DRAM-latency-bound; the rows time the one
+    // in-order `apply_delta` flush against per-edge application there.
+    // Smoke keeps a liveness-sized row.
     let large_rows: Vec<(usize, usize)> = if smoke {
         vec![(1_000, 200)]
     } else {
         vec![(1_000_000, 2_000), (8_000_000, 2_000)]
     };
-    // MLP probe ring size: 128M × 4B = 512 MiB in full mode — past even a
-    // server-class LLC (this host has 260 MB of L3), so every load is a
-    // genuine memory access.
-    let mlp_elements = if smoke { 1 << 16 } else { 1 << 27 };
 
     let trials = if smoke { 1 } else { 2 };
     let reports: Vec<SizeReport> = sizes
@@ -763,7 +691,6 @@ fn main() {
         .iter()
         .map(|&(n, d)| measure_size_arena_only(n, d, trials))
         .collect();
-    let mlp = run_mlp_probe(mlp_elements);
 
     let min_micro = reports
         .iter()
@@ -810,12 +737,8 @@ fn main() {
         .chain(clustered_speedups.iter())
         .copied()
         .fold(0.0, f64::max);
-    let mlp_json = format!(
-        "{{\"elements\": {}, \"lanes\": {}, \"loads\": {}, \"dependent_ns_per_load\": {:.3}, \"batched_ns_per_load\": {:.3}, \"mlp_ratio\": {:.3}}}",
-        mlp.elements, mlp.lanes, mlp.loads, mlp.dependent_ns_per_load, mlp.batched_ns_per_load, mlp.ratio,
-    );
     let json = format!(
-        "{{\n  \"schema\": \"xheal-churn-throughput/v4\",\n  \"smoke\": {smoke},\n  \"alloc_counting\": {ALLOC_COUNTING},\n  \"kappa\": {KAPPA},\n  \"planner_seed\": {PLANNER_SEED},\n  \"adversary_seed\": {ADVERSARY_SEED},\n  \"mlp_probe\": {mlp_json},\n  \"sizes\": [\n{}\n  ],\n  \"summary\": {{\n    \"micro_graph_side_speedup_min\": {min_micro:.3},\n    \"micro_graph_side_speedup_max\": {max_micro:.3},\n    \"churn_events_per_sec_speedup_min\": {min_churn:.3},\n    \"churn_events_per_sec_speedup_max\": {max_churn:.3},\n    \"grouped_apply_speedup_min\": {min_grouped:.3},\n    \"grouped_apply_speedup_max\": {max_grouped:.3},\n    \"micro_full_op_speedups\": [{}],\n    \"grouped_apply_speedups\": [{}],\n    \"clustered_apply_speedups\": [{}],\n    \"topology_match\": {all_match}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"xheal-churn-throughput/v5\",\n  \"smoke\": {smoke},\n  \"alloc_counting\": {ALLOC_COUNTING},\n  \"kappa\": {KAPPA},\n  \"planner_seed\": {PLANNER_SEED},\n  \"adversary_seed\": {ADVERSARY_SEED},\n  \"sizes\": [\n{}\n  ],\n  \"summary\": {{\n    \"micro_graph_side_speedup_min\": {min_micro:.3},\n    \"micro_graph_side_speedup_max\": {max_micro:.3},\n    \"churn_events_per_sec_speedup_min\": {min_churn:.3},\n    \"churn_events_per_sec_speedup_max\": {max_churn:.3},\n    \"grouped_apply_speedup_min\": {min_grouped:.3},\n    \"grouped_apply_speedup_max\": {max_grouped:.3},\n    \"micro_full_op_speedups\": [{}],\n    \"grouped_apply_speedups\": [{}],\n    \"clustered_apply_speedups\": [{}],\n    \"topology_match\": {all_match}\n  }}\n}}\n",
         size_entries.join(",\n"),
         reports
             .iter()

@@ -3,11 +3,16 @@
 //! and an attached tracer's steady-state recording allocates nothing after
 //! its preallocated ring warms up.
 //!
-//! The counter is process-global and the libtest harness allocates from
-//! its own threads (progress lines, panic payloads), so each window is
-//! measured best-of-N: harness noise is transient, while a real per-call
-//! allocation would taint every attempt with >=10k counts.
+//! The counter is process-global, so the tests in this file hold
+//! [`ALLOC_WINDOW`] for their whole run: libtest runs tests on parallel
+//! threads, and one test's allocations must never land in another's
+//! window. The harness itself still allocates from its own threads
+//! (progress lines, panic payloads), so each window is also measured
+//! best-of-N: harness noise is transient, while a real per-call allocation
+//! would taint every attempt with >=10k counts.
 #![cfg(feature = "bench")]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use xheal_bench::alloc_count;
 use xheal_core::{Xheal, XhealConfig};
@@ -15,6 +20,16 @@ use xheal_graph::{generators, NodeId};
 use xheal_trace::{hook, Layer, SharedTracer, Tracer};
 
 const ATTEMPTS: usize = 8;
+
+/// Serializes the tests' measurement windows on the shared counter.
+static ALLOC_WINDOW: Mutex<()> = Mutex::new(());
+
+/// Takes [`ALLOC_WINDOW`] for the rest of the calling test. A failed test
+/// poisons the lock; the next one still runs, since the counter it guards
+/// carries no state across windows.
+fn exclusive_counter() -> MutexGuard<'static, ()> {
+    ALLOC_WINDOW.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Smallest allocation delta of `ATTEMPTS` runs of `window`.
 fn min_delta(mut window: impl FnMut()) -> u64 {
@@ -30,6 +45,7 @@ fn min_delta(mut window: impl FnMut()) -> u64 {
 
 #[test]
 fn disabled_hooks_allocate_nothing() {
+    let _counter = exclusive_counter();
     let none: Option<SharedTracer> = None;
     // Warm any lazy allocator state before the measured windows.
     hook::begin(&none, Layer::Executor, "exec.repair", 1, 0);
@@ -48,6 +64,7 @@ fn disabled_hooks_allocate_nothing() {
 
 #[test]
 fn attached_tracer_records_without_steady_state_allocations() {
+    let _counter = exclusive_counter();
     let tracer = Tracer::shared(1 << 10);
     let handle = Some(tracer.clone());
     // Warm-up: touch every lane and the metrics counter once (first use
@@ -79,6 +96,7 @@ fn attached_tracer_records_without_steady_state_allocations() {
 
 #[test]
 fn untraced_engine_churn_is_alloc_identical_to_seed_behavior() {
+    let _counter = exclusive_counter();
     // The instrumented engine with no tracer attached must allocate
     // exactly as much as an identical run: the hooks contribute zero, so
     // two identical seeded schedules have identical allocation counts.

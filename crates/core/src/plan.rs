@@ -14,21 +14,20 @@
 use std::collections::BTreeSet;
 
 use xheal_expander::EdgeDelta;
-use xheal_graph::{CloudColor, CloudKind, DeltaScratch, EdgeMutation, Graph, NodeId};
+use xheal_graph::{CloudColor, CloudKind, EdgeMutation, Graph, NodeId};
 
 use crate::engine::{SinkRegistry, TopologyDelta};
 use crate::stats::{DeletionReport, HealCase};
 
 /// Reusable working memory for grouped plan application
 /// ([`RepairPlan::apply_streamed_with`] and the batch flush): the flattened
-/// mutation list, the materialized delta slice for sink emission, and the
-/// graph-level [`DeltaScratch`]. Executors own one and thread it through
-/// their hot loops so steady-state plan application allocates nothing.
+/// mutation list and the materialized delta slice for sink emission.
+/// Executors own one and thread it through their hot loops so steady-state
+/// plan application allocates nothing.
 #[derive(Debug, Default)]
 pub struct ApplyScratch {
     ops: Vec<EdgeMutation>,
     deltas: Vec<TopologyDelta>,
-    graph: DeltaScratch,
 }
 
 /// Accumulation cap (in mutations) before an intermediate flush. Mature
@@ -63,7 +62,7 @@ impl ApplyScratch {
             return;
         }
         graph
-            .apply_delta(&self.ops, &mut self.graph)
+            .apply_delta(&self.ops)
             .expect("cloud members are live nodes");
         if !sinks.is_empty() {
             self.deltas.clear();

@@ -79,8 +79,7 @@ use std::collections::BTreeSet;
 
 use xheal_core::{
     ApplyScratch, BatchReport, BatchVictim, DeletionReport, DistCost, Event, HealCase, HealError,
-    Healer, HealingEngine, Outcome, RepairPlanner, SinkRegistry, TopologyDelta, TopologySink,
-    XhealConfig,
+    HealingEngine, Outcome, RepairPlanner, SinkRegistry, TopologyDelta, TopologySink, XhealConfig,
 };
 use xheal_graph::{EdgeLabels, Graph, NodeId};
 use xheal_sim::{Counters, NetworkEngine, SyncNetwork};
@@ -507,28 +506,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
             );
         }
         self.costs.extend(completed);
-    }
-}
-
-impl<N: NetworkEngine<Msg>> Healer for DistXheal<N> {
-    fn name(&self) -> &'static str {
-        "xheal-dist"
-    }
-
-    fn graph(&self) -> &Graph {
-        DistXheal::graph(self)
-    }
-
-    fn on_insert(&mut self, v: NodeId, neighbors: &[NodeId]) -> Result<(), HealError> {
-        self.insert(v, neighbors)
-    }
-
-    fn on_delete(&mut self, v: NodeId) -> Result<(), HealError> {
-        self.delete(v).map(|_| ())
-    }
-
-    fn on_delete_batch(&mut self, victims: &[NodeId]) -> Result<(), HealError> {
-        self.delete_batch(victims).map(|_| ())
     }
 }
 

@@ -35,11 +35,7 @@
 //! # Ok::<(), xheal_graph::GraphError>(())
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the software
-// prefetch intrinsic behind `graph::prefetch_read`, which needs an `unsafe`
-// intrinsic call on x86_64 (see its safety comment). Everything else in the
-// crate must stay safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod graph;
@@ -52,9 +48,6 @@ pub mod cuts;
 pub mod generators;
 pub mod traversal;
 
-pub use graph::{
-    CsrView, DeltaScratch, EdgeMutation, FxHashMap, FxHasher, Graph, GraphError,
-    SORTED_APPLY_MIN_SLOTS,
-};
+pub use graph::{CsrView, EdgeMutation, FxHashMap, FxHasher, Graph, GraphError};
 pub use ids::{IdAllocator, NodeId};
 pub use labels::{CloudColor, CloudKind, EdgeLabels};

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use xheal_graph::baseline::BaselineGraph;
-use xheal_graph::{CloudColor, DeltaScratch, EdgeLabels, EdgeMutation, Graph, NodeId};
+use xheal_graph::{CloudColor, EdgeLabels, EdgeMutation, Graph, NodeId};
 
 /// One randomized operation over the node id universe `0..universe`.
 #[derive(Clone, Copy, Debug)]
@@ -116,8 +116,7 @@ fn apply_both(g: &mut Graph, m: &mut BaselineGraph, op: Op) -> Result<(), TestCa
         }
         Op::BulkDelta(seed) => {
             let batch = random_batch(seed, g);
-            let mut scratch = DeltaScratch::default();
-            prop_assert!(g.apply_delta(&batch, &mut scratch).is_ok());
+            prop_assert!(g.apply_delta(&batch).is_ok());
             for op in &batch {
                 match (op.add, op.color) {
                     (true, Some(c)) => {

@@ -1,7 +1,9 @@
 //! The grouped bulk-application path's equivalence proof.
 //!
-//! `Graph::apply_delta` rewrites every touched neighbor list with one merge
-//! walk per plan flush; these tests pin that path **bit-identical** — same
+//! Plan application accumulates a whole plan's edge mutations and flushes
+//! them through `Graph::apply_delta`, which validates the batch up front
+//! and then applies it in order as point edits; these tests pin that
+//! path **bit-identical** — same
 //! topology fingerprint, same [`TopologyDelta`] stream, same order — to the
 //! sequential per-edge reference ([`PlanAction::apply_streamed`], two binary
 //! searches and a list edit per edge), at the plan level and end to end on
