@@ -712,6 +712,50 @@ mod tests {
         );
     }
 
+    /// Chase regressions show up as restart counts before they show up as
+    /// wall time: on the benchmark's 10k-node ring, after a checkpoint
+    /// interval of seeded deletions and 16-node outages, each warm chase
+    /// converges within three restart sweeps (two are typical). A chase
+    /// started from noise converges in two or three on this graph too, so
+    /// the bound catches slower sweeps or a stalled restart loop, not a
+    /// lost warm start.
+    #[test]
+    fn warm_chases_converge_within_three_restarts_at_10k() {
+        let g0 = generators::ring_with_chords(10_000);
+        let monitor = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
+        let mut net = Xheal::builder()
+            .kappa(4)
+            .seed(7)
+            .sink(Box::new(Rc::clone(&monitor)))
+            .build(&g0);
+        monitor.borrow_mut().checkpoint(); // cold
+        let mut rng = StdRng::seed_from_u64(61);
+        for round in 0..2 {
+            for step in 0..100 {
+                let nodes = net.graph().node_vec();
+                let mut pick = || nodes[rng.random_range(0..nodes.len())];
+                if step % 25 == 24 {
+                    let mut rack: Vec<NodeId> = (0..16).map(|_| pick()).collect();
+                    rack.sort_unstable();
+                    rack.dedup();
+                    net.heal_delete_batch(&rack).unwrap();
+                } else {
+                    net.heal_delete(pick()).unwrap();
+                }
+            }
+            let mut m = monitor.borrow_mut();
+            let view = m.csr().snapshot();
+            let mut tracker = m.spectral.clone();
+            let lambda2 = tracker.estimate(&view).restarts;
+            let (_, sweep) = tracker.chase_sweep(&view);
+            assert!(
+                (1..=3).contains(&lambda2) && (1..=3).contains(&sweep),
+                "round {round}: λ₂ chase {lambda2} and sweep chase {sweep} restarts"
+            );
+            m.checkpoint();
+        }
+    }
+
     #[test]
     fn warm_sweep_reports_zero_on_a_disconnected_graph() {
         let mut g = generators::complete(6);

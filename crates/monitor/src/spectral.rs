@@ -15,7 +15,7 @@
 //! to well below 1e-6 at checkpoints (asserted by the `monitor_overhead`
 //! harness).
 
-use xheal_graph::{CsrView, FxHashMap, NodeId};
+use xheal_graph::{CsrView, NodeId};
 use xheal_spectral::{
     lanczos_multi_deflated, lanczos_multi_deflated_from, CsrLaplacian, CsrNormalizedLaplacian,
     LinOp,
@@ -53,10 +53,15 @@ pub struct GapEstimate {
 /// A Ritz triple `(value, vector, residual)`.
 type Ritz = (f64, Vec<f64>, f64);
 
-/// One eigenvector estimate carried across topology generations, keyed by
-/// node id so it survives node churn and CSR renumbering.
+/// One eigenvector estimate carried across topology generations: the node
+/// ids of the snapshot it was computed on (ascending, as every `CsrView`
+/// lists them) beside its values, so it survives node churn and CSR
+/// renumbering.
 #[derive(Clone, Debug, Default)]
-struct WarmVector(FxHashMap<NodeId, f64>);
+struct WarmVector {
+    nodes: Vec<NodeId>,
+    values: Vec<f64>,
+}
 
 impl WarmVector {
     /// Chases the smallest eigenpair of `op` off `deflates`, starting from
@@ -72,30 +77,42 @@ impl WarmVector {
     ) -> (Option<Ritz>, usize) {
         let steps = WARM_STEPS.min(csr.len() - 1).max(1);
         let start = self.start(csr);
-        let (best, restarts) = chase(op, deflates, &start, steps, seed);
-        self.0.clear();
+        let (best, restarts) = chase(op, deflates, start, steps, seed);
+        self.clear();
         if let Some((_, vec, _)) = &best {
-            self.0
-                .extend(csr.nodes().iter().copied().zip(vec.iter().copied()));
+            self.nodes.extend_from_slice(csr.nodes());
+            self.values.extend_from_slice(vec);
         }
         (best, restarts)
     }
 
-    /// Maps the stored estimate onto the current node order. Nodes without
-    /// a stored value (all of them on a cold start) get seeded per-id
-    /// noise, so a grown graph still explores its new coordinates. The
-    /// noise is hashed rather than patterned: an alternating ±fill is an
-    /// exact Laplacian eigenvector of every even-length circulant graph,
-    /// and a Lanczos run started on an eigenvector stops at it.
+    /// Maps the stored estimate onto the current node order with one merge
+    /// walk over the two ascending id lists. Nodes without a stored value
+    /// (all of them on a cold start) get seeded per-id noise, so a grown
+    /// graph still explores its new coordinates. The noise is hashed
+    /// rather than patterned: an alternating ±fill is an exact Laplacian
+    /// eigenvector of every even-length circulant graph, and a Lanczos run
+    /// started on an eigenvector stops at it.
     fn start(&self, csr: &CsrView) -> Vec<f64> {
+        let mut k = 0;
         csr.nodes()
             .iter()
-            .map(|v| self.0.get(v).copied().unwrap_or_else(|| noise(*v)))
+            .map(|&v| {
+                while k < self.nodes.len() && self.nodes[k] < v {
+                    k += 1;
+                }
+                if self.nodes.get(k) == Some(&v) {
+                    self.values[k]
+                } else {
+                    noise(v)
+                }
+            })
             .collect()
     }
 
     fn clear(&mut self) {
-        self.0.clear();
+        self.nodes.clear();
+        self.values.clear();
     }
 }
 
@@ -190,15 +207,20 @@ impl SpectralGapTracker {
     /// vector for the next call; `None` for graphs with fewer than 2 nodes
     /// or no edges.
     pub fn sweep_vector(&mut self, csr: &CsrView) -> Option<Vec<f64>> {
+        self.chase_sweep(csr).0
+    }
+
+    /// [`SpectralGapTracker::sweep_vector`] with the restart sweeps spent.
+    pub(crate) fn chase_sweep(&mut self, csr: &CsrView) -> (Option<Vec<f64>>, usize) {
         if csr.len() < 2 || csr.edge_count() == 0 {
             self.sweep.clear();
-            return None;
+            return (None, 0);
         }
         let ones = vec![1.0; csr.len()];
-        let (best, _) = self
+        let (best, restarts) = self
             .sweep
             .chase(csr, &CsrLaplacian::new(csr), &[&ones], 0x5EED5);
-        best.map(|(_, vec, _)| vec)
+        (best.map(|(_, vec, _)| vec), restarts)
     }
 }
 
@@ -209,13 +231,13 @@ impl SpectralGapTracker {
 fn chase(
     op: &dyn LinOp,
     deflates: &[&[f64]],
-    start: &[f64],
+    mut start: Vec<f64>,
     steps: usize,
     seed: u64,
 ) -> (Option<Ritz>, usize) {
-    let mut start = start.to_vec();
     let mut best: Option<Ritz> = None;
     let mut restarts = 0;
+    let mut product = vec![0.0f64; start.len()];
     while restarts < MAX_RESTARTS {
         restarts += 1;
         let r = match lanczos_multi_deflated_from(op, deflates, &start, steps) {
@@ -227,7 +249,7 @@ fn chase(
         };
         let lambda = r.ritz_values[0];
         let vec = r.smallest_vector;
-        let sweep_residual = residual(op, lambda, &vec);
+        let sweep_residual = residual(op, lambda, &vec, &mut product);
         // Ritz values bound the target from above, so the smallest sweep
         // wins; its residual travels with it (never a later sweep's).
         let improved = best.as_ref().is_none_or(|&(l, _, _)| lambda <= l + 1e-15);
@@ -242,9 +264,9 @@ fn chase(
     (best, restarts)
 }
 
-fn residual(op: &dyn LinOp, lambda: f64, v: &[f64]) -> f64 {
-    let mut y = vec![0.0f64; v.len()];
-    op.apply(v, &mut y);
+/// `‖L v − λ v‖`, with `y` as scratch for `L v`.
+fn residual(op: &dyn LinOp, lambda: f64, v: &[f64], y: &mut [f64]) -> f64 {
+    op.apply(v, y);
     y.iter()
         .zip(v)
         .map(|(yi, vi)| {

@@ -17,8 +17,38 @@ pub trait LinOp {
     fn apply(&self, x: &[f64], y: &mut [f64]);
 }
 
+/// Accumulator lanes of [`dot`]: eight independent partial sums, so the
+/// loop vectorizes instead of waiting on one serial add chain.
+const LANES: usize = 8;
+
+/// `a · b`, summed in [`LANES`] interleaved partial sums folded by a fixed
+/// pairwise tree, then the tail. The summation order depends only on the
+/// length, so results are bit-repeatable.
 fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    debug_assert_eq!(a.len(), b.len());
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail: f64 = ca
+        .remainder()
+        .iter()
+        .zip(cb.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    let mut acc = [0.0f64; LANES];
+    for (x, y) in ca.zip(cb) {
+        for k in 0..LANES {
+            acc[k] += x[k] * y[k];
+        }
+    }
+    // Fold in halves, lane k absorbing lane k + width: the pairs line up
+    // with the loop's vector registers, so the loop needs no shuffles.
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for k in 0..width {
+            acc[k] += acc[k + width];
+        }
+    }
+    acc[0] + tail
 }
 
 fn norm(a: &[f64]) -> f64 {
@@ -156,37 +186,39 @@ pub fn lanczos_multi_deflated_from(
     };
 
     let steps = max_steps.min(n).max(1);
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(steps);
+    // The sweep's whole workspace, allocated once: the Krylov basis as up
+    // to `steps` contiguous rows of `n`, and the residual `w`. No step
+    // allocates.
+    let mut basis: Vec<f64> = Vec::with_capacity(steps * n);
+    let mut w = vec![0.0f64; n];
     let mut alphas: Vec<f64> = Vec::with_capacity(steps);
     let mut betas: Vec<f64> = Vec::with_capacity(steps);
 
     // Start vector: caller-supplied, deflated, normalized.
-    let mut v = start.to_vec();
-    project(&mut v);
-    let nv = norm(&v);
+    basis.extend_from_slice(start);
+    project(&mut basis);
+    let nv = norm(&basis);
     if nv < 1e-30 {
         return None;
     }
-    for x in &mut v {
+    for x in &mut basis {
         *x /= nv;
     }
-    basis.push(v);
 
-    let mut w = vec![0.0f64; n];
     for j in 0..steps {
-        op.apply(&basis[j], &mut w);
+        let (prev, q) = basis.split_at(j * n);
+        op.apply(q, &mut w);
         project(&mut w);
-        let alpha = dot(&w, &basis[j]);
+        let alpha = dot(&w, q);
         alphas.push(alpha);
         // w -= alpha * v_j + beta_{j-1} * v_{j-1}
-        axpy(&mut w, -alpha, &basis[j]);
+        axpy(&mut w, -alpha, q);
         if j > 0 {
-            let b = betas[j - 1];
-            axpy(&mut w, -b, &basis[j - 1]);
+            axpy(&mut w, -betas[j - 1], &prev[(j - 1) * n..]);
         }
         // Full reorthogonalization (twice for numerical safety).
         for _ in 0..2 {
-            for q in &basis {
+            for q in basis.chunks_exact(n) {
                 let c = dot(&w, q);
                 axpy(&mut w, -c, q);
             }
@@ -197,8 +229,7 @@ pub fn lanczos_multi_deflated_from(
             break;
         }
         betas.push(beta);
-        let next: Vec<f64> = w.iter().map(|x| x / beta).collect();
-        basis.push(next);
+        basis.extend(w.iter().map(|x| x / beta));
     }
 
     let k = alphas.len();
@@ -206,7 +237,7 @@ pub fn lanczos_multi_deflated_from(
     let smallest = ritz_values[0];
     let coeffs = tridiagonal_eigenvector(&alphas, &betas[..k - 1], smallest);
     let mut vec = vec![0.0f64; n];
-    for (c, q) in coeffs.iter().zip(&basis) {
+    for (c, q) in coeffs.iter().zip(basis.chunks_exact(n)) {
         axpy(&mut vec, *c, q);
     }
     let nv = norm(&vec);
@@ -299,5 +330,77 @@ mod tests {
         m.set(2, 2, 4.0);
         let r = lanczos_deflated(&m, &[0.0; 3], 10, 5).unwrap();
         assert!((r.ritz_values[0] - 2.0).abs() < 1e-9);
+    }
+
+    /// Kahan-compensated sum of the same rounded products `dot` adds.
+    fn kahan_dot(a: &[f64], b: &[f64]) -> f64 {
+        let (mut sum, mut carry) = (0.0f64, 0.0f64);
+        for (x, y) in a.iter().zip(b) {
+            let term = x * y - carry;
+            let next = sum + term;
+            carry = (next - sum) - term;
+            sum = next;
+        }
+        sum
+    }
+
+    /// Checks `dot(a, b)` against the Kahan reference to 1e-12 of
+    /// `Σ|aᵢbᵢ|`, the scale any summation order's rounding error is
+    /// bounded by, and that it is bit-repeatable and symmetric.
+    fn assert_dot_close(a: &[f64], b: &[f64]) {
+        let got = dot(a, b);
+        let scale: f64 = a.iter().zip(b).map(|(x, y)| (x * y).abs()).sum();
+        let err = (got - kahan_dot(a, b)).abs();
+        assert!(
+            err <= 1e-12 * scale,
+            "len {}: error {err:e} vs scale {scale:e}",
+            a.len()
+        );
+        assert_eq!(got.to_bits(), dot(a, b).to_bits(), "repeatable");
+        assert_eq!(got.to_bits(), dot(b, a).to_bits(), "symmetric");
+    }
+
+    const LENGTHS: [usize; 12] = [0, 1, 3, 7, 8, 9, 15, 16, 17, 1000, 1003, 10_007];
+
+    #[test]
+    fn lane_split_dot_matches_kahan_on_random_vectors() {
+        for (k, &len) in LENGTHS.iter().enumerate() {
+            let a = seeded_vector(len, 2 * k as u64);
+            let b = seeded_vector(len, 2 * k as u64 + 1);
+            assert_dot_close(&a, &b);
+            // On same-sign sums the bound is relative to the result itself.
+            let n = norm(&a);
+            let reference = kahan_dot(&a, &a).sqrt();
+            assert!(
+                (n - reference).abs() <= 1e-12 * reference,
+                "len {len}: norm {n} vs {reference}"
+            );
+            assert_eq!(n.to_bits(), norm(&a).to_bits());
+        }
+    }
+
+    #[test]
+    fn lane_split_dot_matches_kahan_under_cancellation() {
+        for (k, &len) in LENGTHS.iter().enumerate() {
+            // Adjacent entries nearly cancel: ±1e8-sized products leave a
+            // result around 1e-3, so almost every significant bit of the
+            // partial sums cancels in the final combine.
+            let big = seeded_vector(len, 100 + k as u64);
+            let small = seeded_vector(len, 200 + k as u64);
+            let a: Vec<f64> = (0..len)
+                .map(|i| {
+                    let pair = big[i & !1] * 1e8;
+                    if i % 2 == 0 {
+                        pair
+                    } else {
+                        small[i] * 1e-3 - pair
+                    }
+                })
+                .collect();
+            let b: Vec<f64> = (0..len).map(|i| 1.0 + small[i] * 1e-9).collect();
+            assert_dot_close(&a, &b);
+            let ones = vec![1.0; len];
+            assert_dot_close(&a, &ones);
+        }
     }
 }

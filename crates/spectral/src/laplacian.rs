@@ -6,6 +6,8 @@
 //! Jacobi) for small graphs and via deflated Lanczos above that, plus the
 //! Fiedler vector used by the sweep cut.
 
+use std::cell::RefCell;
+
 use xheal_graph::{CsrView, Graph, NodeId};
 
 use crate::jacobi::jacobi_eigen;
@@ -61,28 +63,53 @@ impl LinOp for CsrLaplacian<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.csr.len() {
-            let mut acc = self.csr.degree_of(i) as f64 * x[i];
-            for &j in self.csr.neighbors_of(i) {
-                acc -= x[j as usize];
-            }
-            y[i] = acc;
+        for (i, adj) in rows(self.csr).enumerate() {
+            y[i] = adj.len() as f64 * x[i] - gather_sum(adj, x);
         }
     }
 }
 
+/// The adjacency rows of `csr`, one slice of dense neighbour indices per
+/// node, read straight off the offset and neighbour arrays.
+fn rows(csr: &CsrView) -> impl Iterator<Item = &[u32]> {
+    let neighbors = csr.neighbors_flat();
+    csr.offsets()
+        .windows(2)
+        .map(move |r| &neighbors[r[0] as usize..r[1] as usize])
+}
+
+/// `Σ_{j ∈ adj} x_j` in four interleaved partial sums, so consecutive
+/// gathers overlap instead of queueing on one add chain.
+fn gather_sum(adj: &[u32], x: &[f64]) -> f64 {
+    let chunks = adj.chunks_exact(4);
+    let tail: f64 = chunks.remainder().iter().map(|&j| x[j as usize]).sum();
+    let mut acc = [0.0f64; 4];
+    for c in chunks {
+        for k in 0..4 {
+            acc[k] += x[c[k] as usize];
+        }
+    }
+    (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
+}
+
 /// Matrix-free *normalized* Laplacian over a borrowed CSR snapshot. Only the
-/// O(n) `D^{-1/2}` diagonal is owned; the adjacency stays borrowed.
+/// O(n) `D^{-1/2}` diagonal and one O(n) scratch vector are owned; the
+/// adjacency stays borrowed.
+///
+/// [`LinOp::apply`] computes `y = x − D^{-1/2} A D^{-1/2} x` by scaling
+/// `z = D^{-1/2} x` once into the scratch vector, then gathering `z` once
+/// per adjacency entry: `y_i = x_i − d_i^{-1/2} Σ_{j ~ i} z_j`.
 #[derive(Clone, Debug)]
 pub struct CsrNormalizedLaplacian<'a> {
     csr: &'a CsrView,
     inv_sqrt_deg: Vec<f64>,
+    scaled: RefCell<Vec<f64>>,
 }
 
 impl<'a> CsrNormalizedLaplacian<'a> {
     /// Borrows `csr` as a normalized-Laplacian operator.
     pub fn new(csr: &'a CsrView) -> Self {
-        let inv_sqrt_deg = (0..csr.len())
+        let inv_sqrt_deg: Vec<f64> = (0..csr.len())
             .map(|i| {
                 let d = csr.degree_of(i) as f64;
                 if d > 0.0 {
@@ -92,7 +119,11 @@ impl<'a> CsrNormalizedLaplacian<'a> {
                 }
             })
             .collect();
-        CsrNormalizedLaplacian { csr, inv_sqrt_deg }
+        CsrNormalizedLaplacian {
+            csr,
+            scaled: RefCell::new(vec![0.0; inv_sqrt_deg.len()]),
+            inv_sqrt_deg,
+        }
     }
 
     /// The kernel direction `D^{1/2}·1` to deflate.
@@ -110,17 +141,18 @@ impl LinOp for CsrNormalizedLaplacian<'_> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.csr.len() {
-            if self.inv_sqrt_deg[i] == 0.0 {
-                y[i] = 0.0;
-                continue;
-            }
-            let mut acc = x[i];
-            for &j in self.csr.neighbors_of(i) {
-                let j = j as usize;
-                acc -= self.inv_sqrt_deg[i] * self.inv_sqrt_deg[j] * x[j];
-            }
-            y[i] = acc;
+        let mut z = self.scaled.borrow_mut();
+        for ((zi, xi), si) in z.iter_mut().zip(x).zip(&self.inv_sqrt_deg) {
+            *zi = xi * si;
+        }
+        let z: &[f64] = &z;
+        for (i, adj) in rows(self.csr).enumerate() {
+            let s = self.inv_sqrt_deg[i];
+            y[i] = if s == 0.0 {
+                0.0
+            } else {
+                x[i] - s * gather_sum(adj, z)
+            };
         }
     }
 }
@@ -541,6 +573,41 @@ mod tests {
         let expect = [0.0, 4.0, 4.0, 4.0];
         for (a, b) in s.iter().zip(expect) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn csr_matvecs_match_dense_products() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut irregular = generators::connected_erdos_renyi(90, 0.08, &mut rng);
+        irregular.add_node(NodeId::new(500)).unwrap(); // isolated: zero row
+        for g in [
+            irregular,
+            generators::star(40),
+            generators::ring_with_chords(64),
+        ] {
+            let csr = g.csr_view();
+            let pairs: [(&dyn LinOp, SymMatrix); 2] = [
+                (
+                    &CsrNormalizedLaplacian::new(&csr),
+                    normalized_laplacian_dense_csr(&csr),
+                ),
+                (&CsrLaplacian::new(&csr), laplacian_dense_csr(&csr)),
+            ];
+            for (op, dense) in &pairs {
+                for _ in 0..3 {
+                    let x: Vec<f64> = (0..csr.len())
+                        .map(|_| rng.random_range(-1.0..1.0))
+                        .collect();
+                    let (mut got, mut want) = (vec![f64::NAN; x.len()], vec![0.0; x.len()]);
+                    op.apply(&x, &mut got);
+                    dense.apply(&x, &mut want);
+                    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert!((a - b).abs() <= 1e-12, "row {i}: {a} vs dense {b}");
+                    }
+                }
+            }
         }
     }
 }
